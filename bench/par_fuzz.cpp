@@ -12,12 +12,10 @@
 //
 //   par_fuzz [--seed-start S] [--seed-count N] [--stall P]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "connections/channel_control.hpp"
 #include "soc/workloads.hpp"
+#include "support/cli.hpp"
 #include "trace/trace.hpp"
 
 namespace craft::soc {
@@ -36,21 +34,16 @@ Outcome RunUniverse(unsigned parallelism, double stall_prob, std::uint64_t seed,
                     Simulator* sim_out_owner) {
   Simulator& sim = *sim_out_owner;
   sim.trace_events().Enable();  // for blame chains on mismatch
-  if (stall_prob > 0.0) {
-    // Each seed is one timing universe, drawn by craft-chaos (which
-    // generalized this benchmark's original ad-hoc stall injector): channel
-    // stalls as before, plus GALS pause storms and deferred wakeups — fault
-    // classes ApplyStallToAll never reached. Armed before elaboration so
-    // every site snapshots its fault point.
-    FaultPlan plan;
-    plan.seed = seed;
-    plan.channel_valid_stall_prob = stall_prob;
-    plan.channel_ready_stall_prob = stall_prob / 2;
-    plan.crossing_pause_prob = stall_prob / 2;
-    plan.crossing_pause_max_cycles = 4;
-    plan.wakeup_delay_prob = stall_prob / 8;
-    sim.chaos().Enable(plan);
-  }
+  sim.stats().Enable();         // per-channel dequeue counts
+  // Each seed is one timing universe drawn by craft-chaos: channel stalls,
+  // GALS pause storms and deferred wakeups. Armed before elaboration so
+  // every site snapshots its fault point.
+  sim.chaos().Enable({.seed = seed,
+                      .channel_valid_stall_prob = stall_prob,
+                      .channel_ready_stall_prob = stall_prob / 2,
+                      .crossing_pause_prob = stall_prob / 2,
+                      .crossing_pause_max_cycles = 4,
+                      .wakeup_delay_prob = stall_prob / 8});
   SocConfig cfg;
   cfg.mesh_width = 2;
   cfg.mesh_height = 2;
@@ -62,9 +55,16 @@ Outcome RunUniverse(unsigned parallelism, double stall_prob, std::uint64_t seed,
   Outcome o;
   o.cycles = soc.RunCommands(w.commands(soc), 500_ms);
   o.ok = w.check(soc, &o.error);
-  o.transfers = connections::ChannelControl::TotalTransfers();
+  for (const auto& [name, c] : sim.stats().channels()) o.transfers += c.dequeues;
   return o;
 }
+
+constexpr const char kUsage[] =
+    "usage: par_fuzz [--seed-start S] [--seed-count N] [--stall P]\n"
+    "\n"
+    "  --seed-start S  first chaos seed (default 1)\n"
+    "  --seed-count N  number of seeds, at least 1 (default 3)\n"
+    "  --stall P       channel valid-stall probability in [0, 1] (default 0.25)\n";
 
 }  // namespace
 }  // namespace craft::soc
@@ -74,15 +74,16 @@ int main(int argc, char** argv) {
   std::uint64_t seed_start = 1;
   unsigned seed_count = 3;
   double stall = 0.25;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--seed-start") == 0) {
-      seed_start = std::strtoull(argv[i + 1], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed-count") == 0) {
-      seed_count = static_cast<unsigned>(std::strtoul(argv[i + 1], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--stall") == 0) {
-      stall = std::strtod(argv[i + 1], nullptr);
-    }
-  }
+  craft::cli::Parser p("par_fuzz", kUsage);
+  p.U64("--seed-start", &seed_start);
+  p.U32("--seed-count", &seed_count);
+  p.F64("--stall", &stall);
+  if (auto st = p.Parse(argc, argv); st != craft::cli::Status::kContinue)
+    return craft::cli::ExitCode(st);
+  if (seed_count == 0)
+    return craft::cli::ExitCode(p.UsageError("--seed-count must be at least 1"));
+  if (stall > 1.0)
+    return craft::cli::ExitCode(p.UsageError("--stall must be a probability in [0, 1]"));
 
   std::printf("craft-par stall-injection fuzz: vecmul on the GALS 2x2 SoC, "
               "stall=%.2f, seeds [%llu, %llu]\n\n",

@@ -66,6 +66,9 @@ struct Reader : Module {
 
 std::uint64_t RunOnce(double stall_probability) {
   Simulator sim;  // sim-accurate Connections model by default
+  // Stall injection: a seeded fault plan, armed before elaboration, perturbs
+  // every channel's timing without touching any of the code below.
+  sim.chaos().Enable({.seed = 42, .channel_valid_stall_prob = stall_probability});
   Clock clk(sim, "clk", 1_ns);
   Module top(sim, "top");
 
@@ -93,12 +96,6 @@ std::uint64_t RunOnce(double stall_probability) {
   if (lint::ErrorCount(findings) > 0) {
     std::fputs(lint::FormatText("quickstart", findings).c_str(), stderr);
     std::exit(1);
-  }
-
-  // Stall injection: perturb every channel's timing without touching any of
-  // the code above.
-  if (stall_probability > 0.0) {
-    ChannelControl::ApplyStallToAll({.valid_stall_prob = stall_probability, .seed = 42});
   }
 
   sim.Run(100_us);

@@ -47,7 +47,6 @@
 #include <typeinfo>
 #include <utility>
 
-#include "connections/channel_control.hpp"
 #include "kernel/chaos.hpp"
 #include "kernel/clock.hpp"
 #include "kernel/cover.hpp"
@@ -55,7 +54,6 @@
 #include "kernel/event.hpp"
 #include "kernel/module.hpp"
 #include "kernel/report.hpp"
-#include "kernel/rng.hpp"
 #include "kernel/signal.hpp"
 #include "kernel/stats.hpp"
 #include "kernel/trace_events.hpp"
@@ -78,7 +76,7 @@ inline const char* ToString(ChannelKind k) {
 /// A latency-insensitive channel carrying messages of type T.
 /// T must be default-constructible and equality-comparable.
 template <typename T>
-class Channel : public Module, public ChannelControl {
+class Channel : public Module {
  public:
   Channel(Module& parent, const std::string& name, Clock& clk, ChannelKind kind,
           unsigned capacity)
@@ -127,24 +125,10 @@ class Channel : public Module, public ChannelControl {
   Clock& clk() const { return clk_; }
   ChannelKind kind() const { return kind_; }
 
-  // ---- ChannelControl ----
-  void SetStall(const StallConfig& cfg) override {
-    stall_ = cfg;
-    stall_rng_ = Rng(cfg.seed);
-  }
-  std::uint64_t transfer_count() const override { return transfers_; }
-  const std::string& channel_name() const override { return full_name(); }
-  std::size_t occupancy() const override {
-    return q_.size() + (staged_.has_value() ? 1 : 0);
-  }
-  void SetTransactionLogDepth(std::size_t depth) override {
-    log_depth_ = depth;
-    while (log_.size() > log_depth_) log_.pop_front();
-  }
-  const std::deque<Time>& transaction_log() const override { return log_; }
-
-  /// Cycles (enqueue-side clock) during which a blocking producer was stalled.
-  std::uint64_t backpressure_cycles() const { return backpressure_cycles_; }
+  /// Completed transfers (dequeues) so far.
+  std::uint64_t transfer_count() const { return transfers_; }
+  /// Tokens currently held (committed queue + staged).
+  std::size_t occupancy() const { return q_.size() + (staged_.has_value() ? 1 : 0); }
 
   // ---- Producer interface (called via Out<T>) ----
 
@@ -229,26 +213,6 @@ class Channel : public Module, public ChannelControl {
 
   // ================= sim-accurate implementation =================
 
-  bool ValidStalledThisCycle() {
-    if (stall_.valid_stall_prob <= 0.0) return false;
-    RollStall();
-    return valid_stalled_;
-  }
-  bool ReadyStalledThisCycle() {
-    if (stall_.ready_stall_prob <= 0.0) return false;
-    RollStall();
-    return ready_stalled_;
-  }
-  void RollStall() {
-    // One roll per cycle, lazily, so channels without blocked endpoints pay
-    // nothing and results do not depend on process dispatch order.
-    const std::uint64_t c = clk_.cycle();
-    if (stall_roll_cycle_ == c) return;
-    stall_roll_cycle_ = c;
-    valid_stalled_ = stall_rng_.NextBool(stall_.valid_stall_prob);
-    ready_stalled_ = stall_rng_.NextBool(stall_.ready_stall_prob);
-  }
-
   /// Edge hook: commits the producer's staged token into the queue, exactly
   /// as RTL registers the transfer at the clock edge. This commit is the
   /// craft-chaos corruption point: a bit-flip mutates the token in the
@@ -318,7 +282,6 @@ class Channel : public Module, public ChannelControl {
   bool SimPushNBImpl(const T& v) {
     const std::uint64_t c = clk_.cycle();
     if (last_push_cycle_ == c) return false;  // at most one token per cycle
-    if (ReadyStalledThisCycle()) return false;
     if (chaos_ != nullptr && chaos_->ReadyStalled(c)) return false;
     switch (kind_) {
       case ChannelKind::kCombinational:
@@ -351,7 +314,6 @@ class Channel : public Module, public ChannelControl {
 
   void SimPush(const T& v) {
     while (!SimPushNBImpl(v)) {
-      ++backpressure_cycles_;
       if (stats_) ++stats_->full_stall_cycles;
       if (trace_) trace_->PushStall();
       wait();
@@ -384,7 +346,6 @@ class Channel : public Module, public ChannelControl {
   bool SimPopNBImpl(T& out) {
     const std::uint64_t c = clk_.cycle();
     if (last_pop_cycle_ == c) return false;  // one token per cycle
-    if (ValidStalledThisCycle()) return false;
     if (chaos_ != nullptr && chaos_->ValidStalled(c)) return false;
     switch (kind_) {
       case ChannelKind::kCombinational:
@@ -392,7 +353,7 @@ class Channel : public Module, public ChannelControl {
         out = std::move(*staged_);
         staged_.reset();
         last_pop_cycle_ = c;
-        RecordTransfer();
+        ++transfers_;
         consumed_event().Notify();
         return true;
       case ChannelKind::kBypass:
@@ -406,7 +367,7 @@ class Channel : public Module, public ChannelControl {
           return false;
         }
         last_pop_cycle_ = c;
-        RecordTransfer();
+        ++transfers_;
         space_event_.Notify();
         return true;
       case ChannelKind::kPipeline:
@@ -415,7 +376,7 @@ class Channel : public Module, public ChannelControl {
         out = std::move(q_.front());
         q_.pop_front();
         last_pop_cycle_ = c;
-        RecordTransfer();
+        ++transfers_;
         space_event_.Notify();
         return true;
     }
@@ -462,15 +423,14 @@ class Channel : public Module, public ChannelControl {
     sig_->c_ready.AddSensitive(comb);
     sig_->state_change.AddSensitive(comb);
     Method("seq", [this] { SigSeq(); }).SensitiveTo(clk_);
-    clk_.AddEdgeHook(
-        [this] {
-          if (stall_.enabled()) {
-            RollStall();
-            // Retrigger the combinational method so the stall mask applies.
-            sig_->state_change.write(sig_->state_change.read() + 1);
-          }
-        },
-        /*priority=*/-10);
+    if (chaos_ != nullptr) {
+      // craft-chaos stalls: retrigger comb at every edge so each cycle's
+      // stall mask applies even when no input changed. Comb's first read in
+      // a cycle rolls the mask, so every cycle rolls exactly once.
+      clk_.AddEdgeHook(
+          [this] { sig_->state_change.write(sig_->state_change.read() + 1); },
+          /*priority=*/-10);
+    }
   }
 
   struct Signals {
@@ -493,8 +453,9 @@ class Channel : public Module, public ChannelControl {
 
   /// Combinational outputs as a function of registered state and inputs.
   void SigComb() {
-    const bool stall_valid = stall_.valid_stall_prob > 0.0 && valid_stalled_;
-    const bool stall_ready = stall_.ready_stall_prob > 0.0 && ready_stalled_;
+    const std::uint64_t c = clk_.cycle();
+    const bool stall_valid = chaos_ != nullptr && chaos_->ValidStalled(c);
+    const bool stall_ready = chaos_ != nullptr && chaos_->ReadyStalled(c);
     switch (kind_) {
       case ChannelKind::kCombinational: {
         // No storage: a stall of either signal must kill the handshake on
@@ -543,7 +504,7 @@ class Channel : public Module, public ChannelControl {
     switch (kind_) {
       case ChannelKind::kCombinational:
         if (in_xfer && out_xfer) {
-          RecordTransfer();
+          ++transfers_;
           stat_enq = stat_deq = true;
         }
         SigSeqStats(stat_enq, stat_deq);
@@ -560,7 +521,7 @@ class Channel : public Module, public ChannelControl {
         const bool bypassed = out_xfer && q_.empty();
         if (out_xfer && !q_.empty()) q_.pop_front();
         if (in_xfer && !bypassed) q_.push_back(sig_->p_msg.read());
-        if (out_xfer) RecordTransfer();
+        if (out_xfer) ++transfers_;
         // The bypassed token is both enqueued and dequeued this edge, so the
         // stamp pushed by StatEnqueue is immediately consumed (latency 0).
         stat_enq = in_xfer;
@@ -571,7 +532,7 @@ class Channel : public Module, public ChannelControl {
       case ChannelKind::kBuffer:
         if (out_xfer) {
           q_.pop_front();
-          RecordTransfer();
+          ++transfers_;
         }
         if (in_xfer) {
           CRAFT_ASSERT(q_.size() < capacity_, full_name() << ": FIFO overflow");
@@ -628,7 +589,6 @@ class Channel : public Module, public ChannelControl {
     sig_->p_valid.write(true);
     do {
       wait();
-      if (!sig_->p_ready.read()) ++backpressure_cycles_;
     } while (!sig_->p_ready.read());
     sig_->p_valid.write(false);
   }
@@ -654,15 +614,6 @@ class Channel : public Module, public ChannelControl {
     return sig_->c_msg.read();
   }
 
-  /// Counts a completed transfer and appends to the bounded debug log.
-  void RecordTransfer() {
-    ++transfers_;
-    if (log_depth_ > 0) {
-      log_.push_back(sim().now());
-      if (log_.size() > log_depth_) log_.pop_front();
-    }
-  }
-
   // ---- common state ----
   Clock& clk_;
   ChannelKind kind_;
@@ -675,16 +626,7 @@ class Channel : public Module, public ChannelControl {
   Event data_event_;
   Event space_event_;
 
-  StallConfig stall_;
-  Rng stall_rng_;
-  std::uint64_t stall_roll_cycle_ = ~0ull;
-  bool valid_stalled_ = false;
-  bool ready_stalled_ = false;
-
   std::uint64_t transfers_ = 0;
-  std::uint64_t backpressure_cycles_ = 0;
-  std::size_t log_depth_ = 0;
-  std::deque<Time> log_;
 
   // craft-stats: nullptr unless enabled before elaboration; enq_times_ holds
   // the enqueue timestamp per in-flight token for the latency histogram.

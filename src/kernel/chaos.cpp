@@ -92,6 +92,15 @@ ChaosRetimerPoint* ChaosEngine::RegisterRetimer(const std::string& name) {
 
 ChaosClockPoint* ChaosEngine::RegisterClock(const std::string& name) {
   if (!enabled_ || plan_.wakeup_delay_prob <= 0.0) return nullptr;
+  if (sim_ != nullptr && sim_->mode() == SimMode::kSignalAccurate) {
+    // A signal-accurate thread's wait() is a clock state of the HLS FSM: a
+    // late wake holds valid/ready across an extra edge, which duplicates or
+    // loses a handshake instead of only adding latency.
+    warnings_.push_back("wakeup deferral on '" + name +
+                        "' skipped: signal-accurate threads are FSM states, "
+                        "a late wake would break the valid/ready handshake");
+    return nullptr;
+  }
   ChaosClockPoint& p = clocks_[name];
   p.prob_ = plan_.wakeup_delay_prob;
   p.rng_ = Rng(PointSeed(name, 5));

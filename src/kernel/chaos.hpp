@@ -31,9 +31,11 @@
 // seed AND invariant under craft-par's SetParallelism(n) — the same property
 // the stats counters rely on (DESIGN.md §9).
 //
-// Injection applies to the sim-accurate Connections model (the mode every
-// campaign and workload runs in); signal-accurate channels keep the legacy
-// StallConfig machinery.
+// Which faults reach which Connections model: channel valid/ready stalls
+// reach both; corruption and wakeup deferral are sim-accurate only. A
+// signal-accurate channel has no staged commit to corrupt, and its threads'
+// wait() calls are FSM states that a late wake would break, so RegisterClock
+// skips wakeup deferral there with a config warning.
 #pragma once
 
 #include <cstdint>
@@ -94,8 +96,10 @@ struct FaultPlan {
   unsigned retimer_delay_max_cycles = 3;   ///< extra delay in [1, max]
   double wakeup_delay_prob = 0.0;          ///< defer a thread wakeup one edge
 
-  // Corruption faults (must be detected, not silently propagated).
-  std::vector<CorruptionFault> corruptions;
+  // Corruption faults (must be detected, not silently propagated). The
+  // initializer lets designated-initializer plans omit the field without a
+  // -Wmissing-field-initializers warning.
+  std::vector<CorruptionFault> corruptions = {};
 
   bool any_latency() const {
     return channel_valid_stall_prob > 0.0 || channel_ready_stall_prob > 0.0 ||
@@ -125,9 +129,10 @@ struct ChaosDetection {
 
 class ChaosEngine;
 
-/// Per-channel fault point: lazy per-cycle valid/ready stall rolls (same
-/// dispatch-order-independent pattern as StallConfig) plus the corruption
-/// appointment book consulted at every commit edge.
+/// Per-channel fault point: lazy per-cycle valid/ready stall rolls (the
+/// first query of a cycle rolls, so draws do not depend on process dispatch
+/// order) plus the corruption appointment book consulted at every commit
+/// edge.
 class ChaosChannelPoint {
  public:
   enum class Commit { kNone, kBitFlip, kDrop, kDuplicate };

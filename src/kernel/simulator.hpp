@@ -22,7 +22,6 @@
 #include "kernel/cover.hpp"
 #include "kernel/pulse.hpp"
 #include "kernel/report.hpp"
-#include "kernel/rng.hpp"
 #include "kernel/stats.hpp"
 #include "kernel/time.hpp"
 #include "kernel/trace_events.hpp"
@@ -179,12 +178,6 @@ class Simulator {
   SimMode mode() const { return mode_; }
   void set_mode(SimMode m) { mode_ = m; }
 
-  /// Simulator-global RNG used for stall injection and jitter; reseed for
-  /// reproducible experiments. Main-thread / elaboration use only under
-  /// craft-par (per-channel and per-clock RNGs are already worker-local).
-  Rng& rng() { return rng_; }
-  void ReseedRng(std::uint64_t seed) { rng_ = Rng(seed); }
-
   // ---- craft-par: domain-sharded parallel execution ----
 
   /// Selects the execution engine for this simulator. n == 1 runs the
@@ -317,7 +310,6 @@ class Simulator {
   bool started_ = false;
   unsigned parallelism_ = 0;  // 0 = original single-queue scheduler
   SimMode mode_ = SimMode::kSimAccurate;
-  Rng rng_;
   std::shared_ptr<DesignGraph> design_graph_;
   StatsRegistry stats_;
   TraceEventSink trace_events_;

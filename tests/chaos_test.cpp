@@ -121,6 +121,36 @@ TEST(ChaosCampaign, ParallelismInvariance) {
   EXPECT_GT(n4.latency.wakeup_deferrals, 0u);
 }
 
+TEST(ChaosCampaign, SignalAccurateSocAbsorbsLatencyFaults) {
+  // The signal-accurate model is the golden one, so the LI-under-stalls
+  // property must hold there too: channel stalls reach its valid/ready
+  // signals, and wakeup deferral (which would break the FSM handshake) is
+  // skipped with a warning per clock instead of hanging the run.
+  chaos::CampaignHooks hooks;
+  hooks.pre_elaborate = [](Simulator& sim) { sim.set_mode(SimMode::kSignalAccurate); };
+  for (const bool gals : {false, true}) {
+    soc::SocConfig cfg;
+    cfg.gals = gals;
+    const auto golden =
+        chaos::RunSocWorkload(cfg, "vecmul", nullptr, 1, "golden", nullptr, &hooks);
+    ASSERT_TRUE(golden.fp.ok) << "gals=" << gals << ": " << golden.error;
+    for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      const FaultPlan plan = chaos::SocLatencyPlan(seed);
+      const auto f =
+          chaos::RunSocWorkload(cfg, "vecmul", &plan, 1, "latency", nullptr, &hooks);
+      const std::string where =
+          "gals=" + std::to_string(gals) + " seed=" + std::to_string(seed);
+      EXPECT_TRUE(f.fp.ok) << where << ": " << f.error;
+      EXPECT_EQ(f.fp.digest, golden.fp.digest) << where;
+      EXPECT_GT(f.latency.channel_stall_cycles, 0u) << where;
+      EXPECT_GT(f.fp.cycles, golden.fp.cycles) << where;
+      EXPECT_EQ(f.latency.wakeup_deferrals, 0u) << where;
+      ASSERT_FALSE(f.warnings.empty()) << where;
+      EXPECT_NE(f.warnings[0].find("wakeup deferral on '"), std::string::npos) << where;
+    }
+  }
+}
+
 // ---------- corruption faults: detection, not propagation ----------
 
 TEST(ChaosCampaign, BitFlipDetectedByPayloadOracle) {

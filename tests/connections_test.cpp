@@ -83,10 +83,10 @@ TEST_P(ChannelPropertyTest, DeliversAllInOrder) {
 TEST_P(ChannelPropertyTest, StallInjectionPreservesCorrectness) {
   Simulator sim;
   sim.set_mode(GetParam().mode);
+  sim.chaos().Enable({.seed = 42, .channel_valid_stall_prob = 0.3});
   Clock clk(sim, "clk", 1_ns);
   Module top(sim, "top");
   auto ch = MakeChannel(top, clk, GetParam().kind);
-  ch->SetStall({.valid_stall_prob = 0.3, .ready_stall_prob = 0.0, .seed = 42});
   Producer prod(top, "prod", clk, 40);
   Consumer cons(top, "cons", clk, 40);
   prod.out(*ch);
@@ -101,10 +101,10 @@ TEST_P(ChannelPropertyTest, StallInjectionDelaysCompletion) {
   auto run = [&](double p) {
     Simulator sim;
     sim.set_mode(GetParam().mode);
+    sim.chaos().Enable({.seed = 7, .channel_valid_stall_prob = p});
     Clock clk(sim, "clk", 1_ns);
     Module top(sim, "top");
     auto ch = MakeChannel(top, clk, GetParam().kind);
-    ch->SetStall({.valid_stall_prob = p, .ready_stall_prob = 0.0, .seed = 7});
     Producer prod(top, "prod", clk, 60);
     Consumer cons(top, "cons", clk, 60);
     prod.out(*ch);
@@ -357,53 +357,16 @@ TEST(ChannelStats, TransferAndBackpressureCounters) {
   cons.in(ch);
   sim.Run(1000_ns);
   EXPECT_EQ(ch.transfer_count(), 10u);
-  EXPECT_EQ(ChannelControl::TotalTransfers(), 10u);
 }
 
-TEST(ChannelStats, TransactionLogRecordsBoundedTimestamps) {
+TEST(ChannelStalls, FaultPlanReachesEveryChannel) {
   Simulator sim;
-  Clock clk(sim, "clk", 1_ns);
-  Module top(sim, "top");
-  Buffer<int> ch(top, "ch", clk, 4);
-  ch.SetTransactionLogDepth(8);
-  Producer prod(top, "prod", clk, 20);
-  Consumer cons(top, "cons", clk, 20);
-  prod.out(ch);
-  cons.in(ch);
-  sim.Run(1000_ns);
-  ASSERT_EQ(cons.received.size(), 20u);
-  const auto& log = ch.transaction_log();
-  ASSERT_EQ(log.size(), 8u);  // bounded to depth, keeps the newest
-  for (std::size_t i = 1; i < log.size(); ++i) EXPECT_GE(log[i], log[i - 1]);
-  EXPECT_GT(log.back(), 0u);
-}
-
-TEST(ChannelStats, EnableLoggingAllCoversEveryChannel) {
-  Simulator sim;
-  Clock clk(sim, "clk", 1_ns);
-  Module top(sim, "top");
-  Buffer<int> a(top, "a", clk, 2), b(top, "b", clk, 2);
-  ChannelControl::EnableLoggingAll(4);
-  Producer prod(top, "prod", clk, 6);
-  Consumer cons(top, "cons", clk, 6);
-  prod.out(a);
-  cons.in(a);
-  Producer prod2(top, "prod2", clk, 6);
-  Consumer cons2(top, "cons2", clk, 6);
-  prod2.out(b);
-  cons2.in(b);
-  sim.Run(1000_ns);
-  EXPECT_EQ(a.transaction_log().size(), 4u);
-  EXPECT_EQ(b.transaction_log().size(), 4u);
-}
-
-TEST(ChannelControl, ApplyStallToAllReachesEveryChannel) {
-  Simulator sim;
+  sim.chaos().Enable(
+      {.seed = 9, .channel_valid_stall_prob = 0.5, .channel_ready_stall_prob = 0.1});
   Clock clk(sim, "clk", 1_ns);
   Module top(sim, "top");
   Buffer<int> a(top, "a", clk, 2);
   Buffer<int> b(top, "b", clk, 2);
-  ChannelControl::ApplyStallToAll({.valid_stall_prob = 0.5, .ready_stall_prob = 0.1, .seed = 9});
   Producer prod(top, "prod", clk, 30);
   Consumer cons(top, "cons", clk, 30);
   prod.out(a);
@@ -417,6 +380,12 @@ TEST(ChannelControl, ApplyStallToAllReachesEveryChannel) {
   EXPECT_EQ(cons2.received.size(), 30u);
   // With 50% valid stalls the run must take visibly longer than 30 cycles.
   EXPECT_GT(cons.done_cycle, 40u);
+  EXPECT_GT(cons2.done_cycle, 40u);
+  for (const char* name : {"top.a", "top.b"}) {
+    const auto it = sim.chaos().channel_points().find(name);
+    ASSERT_NE(it, sim.chaos().channel_points().end()) << name;
+    EXPECT_GT(it->second.stall_events(), 0u) << name;
+  }
 }
 
 // ---------- packetizer / depacketizer ----------

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "connections/channel_control.hpp"
 #include "gals/async_channel.hpp"
 #include "kernel/kernel.hpp"
 #include "soc/workloads.hpp"
@@ -126,15 +125,14 @@ Fingerprint RunChain(unsigned n, std::uint64_t stall_seed) {
   Simulator sim;
   sim.stats().Enable();
   sim.trace_events().Enable();
+  sim.chaos().Enable({.seed = stall_seed,
+                      .channel_valid_stall_prob = 0.15,
+                      .channel_ready_stall_prob = 0.10});
   sim.SetParallelism(n);
   Clock a(sim, "clk_a", 997);
   Clock b(sim, "clk_b", 1361);
   Clock c(sim, "clk_c", 731);
   ChainTop top(sim, a, b, c, kTokens);
-  if (stall_seed != 0) {
-    connections::ChannelControl::ApplyStallToAll(
-        {.valid_stall_prob = 0.15, .ready_stall_prob = 0.10, .seed = stall_seed});
-  }
   sim.Run(3_us);  // fixed horizon: no Stop(), so every run covers the same window
   Fingerprint f;
   f.checksum = top.sink.checksum;

@@ -84,9 +84,9 @@ TEST(Retimer, SustainsOneTokenPerCycle) {
 
 TEST(Retimer, WorksUnderStallInjection) {
   Simulator sim;
+  sim.chaos().Enable({.seed = 5, .channel_valid_stall_prob = 0.4});
   Clock clk(sim, "clk", 1_ns);
   Harness<3> h(sim, clk, 60);
-  ChannelControl::ApplyStallToAll({.valid_stall_prob = 0.4, .seed = 5});
   sim.Run(100_us);
   ASSERT_EQ(h.received.size(), 60u);
   for (int i = 0; i < 60; ++i) EXPECT_EQ(h.received[i], i);
