@@ -35,15 +35,17 @@ void Clock::Edge() {
   // tolerate a thread resuming late. Only these one-shot waiters are ever
   // deferred: statically sensitive methods model RTL that samples every
   // edge, so delaying them would forge a different design, not a schedule.
-  std::vector<ProcessBase*> w;
-  w.swap(waiters_);
-  for (ProcessBase* p : w) {
+  // Deferred waiters are compacted to the front in order, in place, so the
+  // vector keeps its capacity from edge to edge.
+  std::size_t deferred = 0;
+  for (ProcessBase* p : waiters_) {
     if (chaos_ != nullptr && chaos_->DeferWakeup()) {
-      waiters_.push_back(p);
+      waiters_[deferred++] = p;
       continue;
     }
     sim_.MakeRunnable(*p);
   }
+  waiters_.resize(deferred);
   // Trigger statically sensitive methods.
   for (ProcessBase* m : methods_) sim_.MakeRunnable(*m);
   sim_.ScheduleAt(sim_.now() + NextPeriod(), [this] { Edge(); }, /*affinity=*/this);

@@ -68,9 +68,10 @@ class Event {
 
 inline void Event::Fire() {
   CheckShard();
-  std::vector<ProcessBase*> w;
-  w.swap(waiters_);
-  for (ProcessBase* p : w) sim_.MakeRunnable(*p);
+  // MakeRunnable only queues; no process runs inside this loop, so no waiter
+  // can be added while it drains, and draining in place keeps the capacity.
+  for (ProcessBase* p : waiters_) sim_.MakeRunnable(*p);
+  waiters_.clear();
 }
 
 inline void Event::Notify() { Fire(); }

@@ -1,19 +1,22 @@
-// Cooperative fibers (stackful coroutines) built on ucontext.
+// Cooperative fibers (stackful coroutines).
 //
 // Thread processes in the kernel (the analogue of SC_THREAD) need to block
 // mid-function on wait()/Pop()/Push(). Each thread process runs on its own
 // Fiber; the scheduler resumes fibers one at a time on the main context, so
 // the whole simulation is single-threaded and fully deterministic.
+//
+// On x86-64 a switch is a hand-written callee-saved-register swap with no
+// system call (fiber.cpp, DESIGN.md §5); other hosts fall back to ucontext.
 #pragma once
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
-#include <vector>
 
 namespace craft {
 
@@ -27,13 +30,17 @@ struct FiberUnwind {};
 /// captured and rethrown from resume() on the caller's stack. Destroying a
 /// suspended fiber unwinds its stack (FiberUnwind) so RAII state on it is
 /// released.
+///
+/// Every fiber gets a kDefaultStackBytes stack mapped with mmap below a
+/// PROT_NONE guard page: pages it never touches are never committed, and an
+/// overflow faults on the guard page instead of corrupting the heap.
 class Fiber {
  public:
   using Fn = std::function<void()>;
 
   static constexpr std::size_t kDefaultStackBytes = 128 * 1024;
 
-  explicit Fiber(Fn body, std::size_t stack_bytes = kDefaultStackBytes);
+  explicit Fiber(Fn body);
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -55,9 +62,16 @@ class Fiber {
  private:
   static void Trampoline();
 
-  ucontext_t ctx_{};
-  ucontext_t link_{};
-  std::vector<std::uint8_t> stack_;
+#if defined(__x86_64__)
+  /// A saved stack pointer; the registers a switch preserves are pushed on
+  /// that stack (fiber.cpp).
+  using Context = void*;
+#else
+  using Context = ucontext_t;
+#endif
+  Context ctx_{};   ///< the fiber's context while it is suspended
+  Context link_{};  ///< the resumer's context while the fiber runs
+  std::uint8_t* stack_ = nullptr;  ///< lowest usable byte; the guard page is below
   Fn body_;
   bool started_ = false;
   bool done_ = false;
@@ -66,7 +80,7 @@ class Fiber {
 
   // AddressSanitizer fiber-switch bookkeeping (see fiber.cpp; unused and
   // harmless in non-sanitized builds). ASan tracks a fake stack per call
-  // stack — every swapcontext must be bracketed by
+  // stack — every context switch must be bracketed by
   // __sanitizer_{start,finish}_switch_fiber or ASan poisons the wrong stack.
   void* asan_main_fss_ = nullptr;        ///< main context's fake stack, saved on entry
   void* asan_fiber_fss_ = nullptr;       ///< fiber's fake stack, saved on suspend

@@ -126,9 +126,9 @@ void Simulator::SettleDeltas(SchedShard& s) {
     ++s.delta_count;
     if (delta_limit_ != 0 && ++deltas_this_step > delta_limit_)
       ReportDeltaOverflow(s);
-    std::vector<ProcessBase*> batch;
-    batch.swap(s.runnable);
-    for (ProcessBase* p : batch) {
+    s.dispatching.clear();
+    s.dispatching.swap(s.runnable);
+    for (ProcessBase* p : s.dispatching) {
       p->queued = false;
       ++s.dispatch_count;
       ++p->stat_dispatches;
@@ -144,9 +144,9 @@ void Simulator::SettleDeltas(SchedShard& s) {
         p->Dispatch();
       }
     }
-    std::vector<Updatable*> ups;
-    ups.swap(s.updates);
-    for (Updatable* u : ups) u->Update();
+    s.updating.clear();
+    s.updating.swap(s.updates);
+    for (Updatable* u : s.updating) u->Update();
   }
 }
 

@@ -82,6 +82,11 @@ struct SchedShard {
       timed;
   std::vector<ProcessBase*> runnable;
   std::vector<Updatable*> updates;
+  /// SettleDeltas' second buffers. Each delta swaps `runnable` and `updates`
+  /// with these and drains them while new work queues into the emptied
+  /// originals, so both pairs keep their capacity from delta to delta.
+  std::vector<ProcessBase*> dispatching;
+  std::vector<Updatable*> updating;
 };
 
 /// Shard the calling thread is currently executing simulation work for.

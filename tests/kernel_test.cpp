@@ -2,10 +2,18 @@
 // events, processes, tracing, and deterministic RNG.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <array>
+#include <cfenv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "kernel/kernel.hpp"
@@ -55,6 +63,168 @@ TEST(Fiber, CurrentTracksExecution) {
   f.resume();
   EXPECT_EQ(seen, &f);
   EXPECT_EQ(Fiber::Current(), nullptr);
+}
+
+// Counts its own destructor runs, to observe a fiber stack unwinding.
+struct DtorCounter {
+  int& n;
+  ~DtorCounter() { ++n; }
+};
+
+TEST(Fiber, RoundingModeStaysWithItsFiber) {
+  // volatile keeps the divisions at run time, under whatever MXCSR holds.
+  volatile double one = 1.0, three = 3.0;
+  const double nearest = one / three;
+  const int outer = std::fegetround();
+  int inner = -1;
+  double inner_third = 0.0;
+  Fiber f([&] {
+    std::fesetround(FE_UPWARD);
+    Fiber::Suspend();
+    inner = std::fegetround();
+    inner_third = one / three;
+  });
+  f.resume();
+  EXPECT_EQ(std::fegetround(), outer);
+  EXPECT_EQ(one / three, nearest);
+  f.resume();
+  EXPECT_EQ(inner, FE_UPWARD);
+  EXPECT_GT(inner_third, nearest);
+  EXPECT_EQ(std::fegetround(), outer);
+}
+
+TEST(Fiber, FirstFrameIsAbiAligned) {
+  std::uintptr_t line_addr = 1;
+  std::string text;
+  Fiber f([&] {
+    alignas(64) volatile char line[64] = {};
+    line_addr = reinterpret_cast<std::uintptr_t>(&line[0]);
+    // glibc's printf_fp uses aligned SSE stores on the stack.
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.3f", 2.5);
+    text = buf;
+  });
+  f.resume();
+  EXPECT_EQ(line_addr % 64, 0u);
+  EXPECT_EQ(text, "2.500");
+}
+
+TEST(Fiber, DestroyingSuspendedFiberUnwindsItsLocals) {
+  int destroyed = 0;
+  bool finished = false;
+  {
+    Fiber f([&] {
+      DtorCounter outer{destroyed};
+      {
+        DtorCounter inner{destroyed};
+        Fiber::Suspend();
+      }
+      finished = true;
+    });
+    f.resume();
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 2);
+  EXPECT_FALSE(finished);
+}
+
+// The calling OS thread. Out of line behind a compiler barrier: glibc
+// declares pthread_self() const, so inlined get_id() calls on both sides of
+// a suspension would fold into one even when the fiber changed threads.
+[[gnu::noinline]] std::thread::id ThisThread() {
+  asm volatile("" ::: "memory");
+  return std::this_thread::get_id();
+}
+
+// The path ~Simulator takes after craft-par ran: a fiber last suspended on a
+// worker thread is resumed, and later cancel-unwound, on the main thread.
+TEST(Fiber, ResumesAndUnwindsOnAnotherThread) {
+  int destroyed = 0;
+  std::vector<std::thread::id> ran_on;
+  Fiber* seen = nullptr;
+  auto f = std::make_unique<Fiber>([&] {
+    DtorCounter guard{destroyed};
+    ran_on.push_back(ThisThread());
+    Fiber::Suspend();
+    ran_on.push_back(ThisThread());
+    seen = Fiber::Current();
+    Fiber::Suspend();
+    ran_on.push_back(ThisThread());
+  });
+  std::thread([&] { f->resume(); }).join();
+  f->resume();
+  ASSERT_EQ(ran_on.size(), 2u);
+  EXPECT_NE(ran_on[0], ran_on[1]);
+  EXPECT_EQ(ran_on[1], std::this_thread::get_id());
+  EXPECT_EQ(seen, f.get());
+  EXPECT_EQ(Fiber::Current(), nullptr);
+  f.reset();
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(ran_on.size(), 2u);
+}
+
+// Recurses until `bytes` of stack below `top` are in use and returns the
+// depth. Each frame writes a 512-byte buffer, so every page it spans is
+// touched; the measure is frame addresses, so instrumented builds with
+// larger frames still stop at the same stack use.
+[[gnu::noinline]] int RecurseUntil(const char* top, std::size_t bytes) {
+  volatile char pad[512];
+  for (volatile char& c : pad) c = 1;
+  const auto* here = static_cast<const char*>(__builtin_frame_address(0));
+  if (static_cast<std::size_t>(top - here) >= bytes) return 1;
+  return RecurseUntil(top, bytes) + pad[0];
+}
+
+TEST(Fiber, StackHoldsNinetySixKiBOfFrames) {
+  int depth = 0;
+  Fiber f([&] {
+    const auto* top = static_cast<const char*>(__builtin_frame_address(0));
+    depth = RecurseUntil(top, 96 * 1024);
+  });
+  f.resume();
+  EXPECT_TRUE(f.done());
+  EXPECT_GT(depth, 0);
+}
+
+TEST(FiberDeathTest, StackOverflowFaultsOnTheGuardPage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // Overruns the stack by a little over 2 KiB, then exits with status 0
+  // before anything can notice. `below` is mapped next, so its stack lies
+  // just under `f`'s, as in any design with several threads: without a
+  // guard page the overrun silently lands in it.
+  EXPECT_DEATH(
+      {
+        Fiber f([] {
+          RecurseUntil(static_cast<const char*>(__builtin_frame_address(0)),
+                       Fiber::kDefaultStackBytes + 2048);
+          std::_Exit(0);
+        });
+        Fiber below([] {});
+        f.resume();
+      },
+      "");
+}
+
+TEST(Fiber, SwitchMakesNoSyscalls) {
+  // swapcontext made an rt_sigprocmask system call per switch, which put a
+  // third of a switch-bound run's CPU time in the OS kernel.
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "the ucontext fallback still switches through swapcontext";
+#endif
+  const auto cpu_s = [](bool sys) {
+    rusage ru{};
+    getrusage(RUSAGE_THREAD, &ru);
+    const timeval& tv = sys ? ru.ru_stime : ru.ru_utime;
+    return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  Fiber f([] {
+    for (;;) Fiber::Suspend();
+  });
+  const double user0 = cpu_s(false), sys0 = cpu_s(true);
+  for (int i = 0; i < 2'000'000; ++i) f.resume();
+  const double user = cpu_s(false) - user0, sys = cpu_s(true) - sys0;
+  ASSERT_GT(user + sys, 0.0);
+  EXPECT_LT(sys / (user + sys), 0.10) << "user " << user << " s, sys " << sys << " s";
 }
 
 TEST(Simulator, TimeAdvancesToRunBound) {
