@@ -83,8 +83,8 @@ struct CampaignResult {
   std::string design;
   std::string mode;  ///< "latency" or "corruption"
   bool passed = true;
-  std::vector<std::string> failures;  ///< human-readable oracle violations
-  std::vector<RunRecord> runs;
+  std::vector<std::string> failures = {};  ///< human-readable oracle violations
+  std::vector<RunRecord> runs = {};
 };
 
 struct CampaignConfig {

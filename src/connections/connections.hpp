@@ -313,11 +313,12 @@ class Channel : public Module {
   }
 
   void SimPush(const T& v) {
-    while (!SimPushNBImpl(v)) {
+    wait_until([&] {
+      if (SimPushNBImpl(v)) return true;
       if (stats_) ++stats_->full_stall_cycles;
       if (trace_) trace_->PushStall();
-      wait();
-    }
+      return false;
+    });
     if (stats_) StatEnqueue();
     if (trace_) trace_->Enqueue();
     if (cover_ != nullptr) cover_->OnOccupancy(occupancy());
@@ -385,18 +386,24 @@ class Channel : public Module {
 
   T SimPop() {
     T out{};
-    while (!SimPopNBImpl(out)) {
-      if (stats_ && !PeekAvailable()) ++stats_->empty_stall_cycles;
-      if (trace_ && !PeekAvailable()) trace_->PopStall();
-      if ((kind_ == ChannelKind::kCombinational || kind_ == ChannelKind::kBypass) &&
-          !PeekAvailable()) {
-        // Same-cycle visibility: wake on an offer within this timestep.
-        wait(data_event_);
-      } else {
-        // Data exists but this endpoint is rate-limited (or clocked kind):
-        // retry at the next posedge.
-        wait();
-      }
+    // A failed pop retries at the next posedge, checked by the scheduler
+    // without resuming this thread. The exception is an empty Combinational
+    // or Bypass channel: for same-cycle visibility the predicate then ends
+    // the clock wait and the thread wakes on an offer within this timestep.
+    const bool same_cycle =
+        kind_ == ChannelKind::kCombinational || kind_ == ChannelKind::kBypass;
+    bool popped = false;
+    for (;;) {
+      wait_until([&] {
+        popped = SimPopNBImpl(out);
+        if (popped) return true;
+        const bool empty = !PeekAvailable();
+        if (stats_ && empty) ++stats_->empty_stall_cycles;
+        if (trace_ && empty) trace_->PopStall();
+        return same_cycle && empty;
+      });
+      if (popped) break;
+      wait(data_event_);
     }
     if (stats_) StatDequeue();
     if (trace_) trace_->Dequeue();
@@ -587,9 +594,7 @@ class Channel : public Module {
   void SigPush(const T& v) {
     sig_->p_msg.write(v);
     sig_->p_valid.write(true);
-    do {
-      wait();
-    } while (!sig_->p_ready.read());
+    this_thread().WaitUntil([this] { return sig_->p_ready.read(); });
     sig_->p_valid.write(false);
   }
 
@@ -607,9 +612,7 @@ class Channel : public Module {
 
   T SigPop() {
     sig_->c_ready.write(true);
-    do {
-      wait();
-    } while (!sig_->c_valid.read());
+    this_thread().WaitUntil([this] { return sig_->c_valid.read(); });
     sig_->c_ready.write(false);
     return sig_->c_msg.read();
   }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "connections/connections.hpp"
 #include "kernel/bits.hpp"
@@ -102,6 +103,10 @@ class Packetizer : public Module {
 
  private:
   void Run() {
+    // One bit buffer and one flit vector for the thread's lifetime: after the
+    // first message, marshalling allocates nothing.
+    BitStream bits;
+    std::vector<std::uint64_t> flits;
     for (;;) {
       const T msg = in.Pop();
       // craft-trace: the pop deposited the message's span in this thread's
@@ -109,9 +114,9 @@ class Packetizer : public Module {
       // span, so a flit's whole NoC journey hangs off the message span.
       const std::uint64_t parent =
           trace_sink_ != nullptr ? trace_sink_->TakeContextOrNew() : 0;
-      BitStream bits;
+      bits.Clear();
       Marshal<T>::Write(bits, msg);
-      const auto flits = bits.ToFlits(kFlitBits);
+      bits.ToFlits(kFlitBits, flits);
       if (cover_ != nullptr) cover_->OnMessage(flits.size());
       const std::uint8_t dest = route_(msg);
       for (std::size_t i = 0; i < flits.size(); ++i) {
@@ -164,7 +169,11 @@ class DePacketizer : public Module {
 
  private:
   void Run() {
-    std::vector<std::uint64_t> flits;
+    // Flit payloads accumulate straight into one bit buffer kept for the
+    // thread's lifetime, so after the first packet reassembly allocates
+    // nothing.
+    BitStream bits;
+    std::size_t buffered = 0;  // flits of the open packet
     std::uint64_t parent = 0;
     for (;;) {
       const Flit f = in.Pop();
@@ -173,31 +182,35 @@ class DePacketizer : public Module {
       // upstream desynchronizes first/last against the accumulator, which is
       // the detection the corruption oracle requires (a flip is caught by
       // the payload oracle downstream instead).
-      if (f.first && !flits.empty()) {
+      if (f.first && buffered != 0) {
         if (cover_ != nullptr) cover_->OnHeadResync();
         if (chaos_ != nullptr) {
           chaos_->ReportDetection(full_name(), "framing-head",
                                   "head flit arrived mid-assembly (" +
-                                      std::to_string(flits.size()) + " of " +
+                                      std::to_string(buffered) + " of " +
                                       std::to_string(FlitsPerMessage()) +
                                       " flits buffered)");
         }
-      } else if (!f.first && flits.empty()) {
+      } else if (!f.first && buffered == 0) {
         if (cover_ != nullptr) cover_->OnOrphan();
         if (chaos_ != nullptr) {
           chaos_->ReportDetection(full_name(), "framing-orphan",
                                   "mid-packet flit with no packet open");
         }
       }
-      if (f.first) flits.clear();
+      if (f.first) {
+        bits.Clear();
+        buffered = 0;
+      }
       if (trace_sink_ != nullptr && f.first) {
         // The popped head flit left its child span in the thread context;
         // resume the original message span for the reassembled push.
         parent = trace_sink_->ParentOf(trace_sink_->PeekContext());
       }
-      flits.push_back(f.payload);
+      bits.PutBits(f.payload, kFlitBits);
+      ++buffered;
       if (f.last) {
-        if (flits.size() != FlitsPerMessage()) {
+        if (buffered != FlitsPerMessage()) {
           // Malformed packet: discard instead of unmarshalling (a short
           // packet would underflow the bit stream). The missing message is
           // then caught by the end-to-end oracle (shortfall or hang).
@@ -205,18 +218,19 @@ class DePacketizer : public Module {
           if (chaos_ != nullptr) {
             chaos_->ReportDetection(full_name(), "framing-count",
                                     "packet closed with " +
-                                        std::to_string(flits.size()) +
+                                        std::to_string(buffered) +
                                         " flits, expected " +
                                         std::to_string(FlitsPerMessage()));
           }
-          flits.clear();
+          bits.Clear();
+          buffered = 0;
           continue;
         }
-        BitStream bits = BitStream::FromFlits(flits, kFlitBits);
         if (cover_ != nullptr) cover_->OnAssembled();
         if (trace_sink_ != nullptr) trace_sink_->SetContext(parent);
         out.Push(Marshal<T>::Read(bits));
-        flits.clear();
+        bits.Clear();
+        buffered = 0;
       }
     }
   }

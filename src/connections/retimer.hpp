@@ -44,13 +44,14 @@ class Retimer : public Module {
     });
     // Egress is event-driven on ingress arrival: an idle retimer sleeps on
     // arrival_ instead of charging one dispatch per cycle to its craft-par
-    // shard. Once a token is in flight it falls back to per-cycle waits to
-    // hit ready_cycle exactly. No wakeup is ever lost: ingress only runs
-    // while egress is suspended, and egress re-checks pipe_ before waiting.
+    // shard. Once a token is in flight it waits for the edge of ready_cycle,
+    // checked per cycle by the scheduler without resuming the thread. No
+    // wakeup is ever lost: ingress only runs while egress is suspended, and
+    // egress re-checks pipe_ before waiting.
     Thread("egress", clk, [this] {
       for (;;) {
         while (pipe_.empty()) wait(arrival_);
-        while (clk_.cycle() < pipe_.front().ready_cycle) wait();
+        wait_until([this] { return clk_.cycle() >= pipe_.front().ready_cycle; });
         const T v = pipe_.front().value;
         pipe_.pop_front();
         ++tokens_;

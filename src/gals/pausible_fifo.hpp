@@ -123,16 +123,16 @@ class PausibleBisyncFifo : public Module {
       // by the `full` acquire and gives the same answer sequential execution
       // would.
       Time last_failed_poll = kTimeNever;
-      for (;;) {
+      wait_until([&] {
         Slot& s = ring_[tail % kDepth];
         if (!s.full.load(std::memory_order_acquire) &&
             sim().now() >= s.freed.load(std::memory_order_relaxed) + sync_delay_)
-          break;
+          return true;
         if (stats_) ++stats_->enq_sync_wait_cycles;
         last_failed_poll = sim().now();
         if (trace_) trace_->PushStall();
-        wait();
-      }
+        return false;
+      });
       if (chaos_ != nullptr) {
         // The slot is free and stays free (only this side fills it), so
         // holding extra cycles here is indistinguishable from a longer
@@ -165,17 +165,17 @@ class PausibleBisyncFifo : public Module {
       // clock) so the count does not depend on when the producer worker's
       // store became visible.
       Time last_failed_poll = kTimeNever;
-      for (;;) {
+      wait_until([&] {
         Slot& s = ring_[head % kDepth];
         if (s.full.load(std::memory_order_acquire) &&
             sim().now() >=
                 s.published.load(std::memory_order_relaxed) + sync_delay_)
-          break;
+          return true;
         if (stats_) ++stats_->deq_sync_wait_cycles;
         last_failed_poll = sim().now();
         if (trace_) trace_->PopStall();
-        wait();
-      }
+        return false;
+      });
       if (chaos_ != nullptr) {
         // Symmetric consumer-side storm; the slot stays full until freed
         // below, so the hold only delays when the token crosses.

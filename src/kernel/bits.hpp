@@ -41,10 +41,18 @@ class BitStream {
   void ResetCursor() { cursor_ = 0; }
   bool exhausted() const { return cursor_ >= bits_.size(); }
 
-  /// Splits into fixed-width flits (last one zero-padded).
-  std::vector<std::uint64_t> ToFlits(unsigned flit_bits) const {
+  /// Empties the stream and rewinds the cursor, keeping the capacity, so a
+  /// stream reused message after message stops allocating.
+  void Clear() {
+    bits_.clear();
+    cursor_ = 0;
+  }
+
+  /// Splits into fixed-width flits (last one zero-padded), replacing the
+  /// contents of `flits` and keeping its capacity.
+  void ToFlits(unsigned flit_bits, std::vector<std::uint64_t>& flits) const {
     CRAFT_ASSERT(flit_bits >= 1 && flit_bits <= 64, "flit width must be 1..64");
-    std::vector<std::uint64_t> flits;
+    flits.clear();
     for (std::size_t i = 0; i < bits_.size(); i += flit_bits) {
       std::uint64_t f = 0;
       for (unsigned b = 0; b < flit_bits && i + b < bits_.size(); ++b) {
@@ -53,13 +61,6 @@ class BitStream {
       flits.push_back(f);
     }
     if (flits.empty()) flits.push_back(0);
-    return flits;
-  }
-
-  static BitStream FromFlits(const std::vector<std::uint64_t>& flits, unsigned flit_bits) {
-    BitStream s;
-    for (std::uint64_t f : flits) s.PutBits(f, flit_bits);
-    return s;
   }
 
  private:

@@ -24,13 +24,42 @@ ThreadProcess* ThreadProcess::Current() { return tl_current_thread; }
 
 void ThreadProcess::Dispatch() {
   if (fiber_.done()) return;
+  ++resumes_;
   ThreadProcess* prev = tl_current_thread;
   tl_current_thread = this;
   fiber_.resume();
   tl_current_thread = prev;
 }
 
+bool ProcessBase::PollWaitPredicate() {
+  // Only ThreadProcess::WaitUntil sets wait_pred_. The predicate runs on the
+  // scheduler's stack in the thread's dispatch slot, so it sees exactly the
+  // state the fiber would have seen had it been resumed, and whatever it
+  // records (stall counters, trace blame, chaos rolls) lands in the same
+  // order. Current() names the thread while it runs, as inside the fiber.
+  ThreadProcess& t = static_cast<ThreadProcess&>(*this);
+  struct Scope {
+    ThreadProcess& t;
+    ThreadProcess* prev;
+    ~Scope() {
+      t.polling_ = false;
+      tl_current_thread = prev;
+    }
+  } scope{t, tl_current_thread};
+  tl_current_thread = &t;
+  t.polling_ = true;
+  if (!wait_pred_(wait_pred_ctx_)) {
+    t.clk_.AddWaiter(t);  // where the fiber's own wait() would re-arm it
+    return false;
+  }
+  wait_pred_ = nullptr;
+  return true;
+}
+
 void ThreadProcess::Suspend() {
+  CRAFT_ASSERT(!polling_, "thread '" << name()
+                                     << "' blocked inside a wait_until predicate; "
+                                        "a predicate must not wait");
   // Clear/restore the current-thread marker across the suspension point so
   // code running on the scheduler context never observes a stale thread.
   tl_current_thread = nullptr;
@@ -84,8 +113,10 @@ void wait(Event& e) {
   t->Wait(e);
 }
 
-void wait_until(const std::function<bool()>& pred) {
-  while (!pred()) wait();
+ThreadProcess& this_thread() {
+  ThreadProcess* t = ThreadProcess::Current();
+  CRAFT_ASSERT(t != nullptr, "blocking call outside a thread process");
+  return *t;
 }
 
 std::uint64_t this_cycle() {

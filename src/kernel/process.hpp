@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "kernel/fiber.hpp"
@@ -34,6 +35,12 @@ class ProcessBase {
 
   /// Executes one evaluation-phase dispatch of this process.
   virtual void Dispatch() = 0;
+
+  /// Runs in this process's dispatch slot just before Dispatch() and says
+  /// whether to dispatch it. A thread suspended in ThreadProcess::WaitUntil
+  /// has its predicate evaluated here instead of being resumed; while the
+  /// predicate fails the thread is re-armed on its clock and this is false.
+  bool ReadyToDispatch() { return wait_pred_ == nullptr || PollWaitPredicate(); }
 
   const std::string& name() const { return name_; }
   Simulator& sim() const { return sim_; }
@@ -64,7 +71,16 @@ class ProcessBase {
   std::atomic<std::uint32_t> trace_blocked_track{kNoTraceTrack};
   std::atomic<bool> trace_blocked_is_push{false};
 
+ protected:
+  /// The pending ThreadProcess::WaitUntil predicate, or null: a call thunk
+  /// and the address of the callable, which lives on the suspended fiber's
+  /// stack. Only ThreadProcess sets it.
+  bool (*wait_pred_)(void*) = nullptr;
+  void* wait_pred_ctx_ = nullptr;
+
  private:
+  bool PollWaitPredicate();
+
   Simulator& sim_;
   std::string name_;
 };
@@ -93,11 +109,33 @@ class ThreadProcess : public ProcessBase {
   /// Suspends until `e` is notified (possibly in the same timestep).
   void Wait(Event& e);
 
+  /// Suspends until the first posedge of this process's clock at which
+  /// pred() holds: `do Wait(); while (!pred());`, except that the scheduler
+  /// evaluates pred in this thread's dispatch slot without resuming the
+  /// fiber, re-arms the thread on its clock while pred fails, and resumes the
+  /// fiber only once it holds. pred runs with Current() == this and must not
+  /// block; an exception it throws surfaces from Simulator::Run().
+  template <typename Pred>
+  void WaitUntil(Pred&& pred) {
+    using Callable = std::remove_reference_t<Pred>;
+    wait_pred_ = [](void* ctx) -> bool { return (*static_cast<Callable*>(ctx))(); };
+    wait_pred_ctx_ = const_cast<void*>(static_cast<const void*>(&pred));
+    Wait();
+  }
+
+  /// Fiber resumes so far, including the first start. Always counted; a
+  /// failed WaitUntil check does not resume the fiber and is not counted.
+  std::uint64_t resume_count() const { return resumes_; }
+
  private:
+  friend class ProcessBase;  // PollWaitPredicate
+
   void Suspend();
 
   Clock& clk_;
   Fiber fiber_;
+  std::uint64_t resumes_ = 0;
+  bool polling_ = false;  ///< evaluating a WaitUntil predicate (must not block)
 };
 
 /// A non-blocking callback process, re-run on each trigger.
@@ -139,8 +177,16 @@ void wait(unsigned n);
 /// Suspends until `e` is notified.
 void wait(Event& e);
 
-/// Spins (one clock per check) until pred() is true.
-void wait_until(const std::function<bool()>& pred);
+/// The thread process currently executing; errors outside one.
+ThreadProcess& this_thread();
+
+/// Returns once pred() holds: checks it now, then at each posedge of the
+/// current thread's clock, where the scheduler re-checks it without resuming
+/// the thread (ThreadProcess::WaitUntil).
+template <typename Pred>
+void wait_until(Pred&& pred) {
+  if (!pred()) this_thread().WaitUntil(pred);
+}
 
 /// Cycle count of the current thread's clock.
 std::uint64_t this_cycle();

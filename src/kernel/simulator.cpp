@@ -133,6 +133,9 @@ void Simulator::SettleDeltas(SchedShard& s) {
       ++s.dispatch_count;
       ++p->stat_dispatches;
       tl_sched_group = p->par_group;
+      // A thread blocked in WaitUntil is re-checked here without resuming
+      // its fiber; only a real resume is dispatched and wall-timed.
+      if (!p->ReadyToDispatch()) continue;
       if (profile) {
         const auto t0 = std::chrono::steady_clock::now();
         p->Dispatch();

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "connections/connections.hpp"
 #include "kernel/bits.hpp"
@@ -30,11 +31,14 @@ class Serializer : public Module {
 
  private:
   void Run() {
+    BitStream bits;
+    std::vector<std::uint64_t> slices;
     for (;;) {
       const T msg = in.Pop();
-      BitStream bits;
+      bits.Clear();
       Marshal<T>::Write(bits, msg);
-      for (std::uint64_t slice : bits.ToFlits(kSliceBits)) out.Push(slice);
+      bits.ToFlits(kSliceBits, slices);
+      for (std::uint64_t slice : slices) out.Push(slice);
     }
   }
 };
@@ -58,13 +62,14 @@ class Deserializer : public Module {
 
  private:
   void Run() {
-    std::vector<std::uint64_t> slices;
+    BitStream bits;
+    unsigned slices = 0;
     for (;;) {
-      slices.push_back(in.Pop());
-      if (slices.size() == SliceCount()) {
-        BitStream bits = BitStream::FromFlits(slices, kSliceBits);
+      bits.PutBits(in.Pop(), kSliceBits);
+      if (++slices == SliceCount()) {
         out.Push(Marshal<T>::Read(bits));
-        slices.clear();
+        bits.Clear();
+        slices = 0;
       }
     }
   }

@@ -11,6 +11,7 @@
 #include <new>
 
 #include "connections/connections.hpp"
+#include "connections/packetizer.hpp"
 #include "kernel/kernel.hpp"
 
 namespace {
@@ -92,6 +93,48 @@ TEST_P(AllocPerTransfer, BufferTransfersStayUnderOneAllocationInTwenty) {
   // scheduler, fiber and channel paths themselves allocate nothing.
   EXPECT_LT(static_cast<double>(allocs) / static_cast<double>(transfers), 0.05)
       << allocs << " allocations over " << transfers << " transfers";
+}
+
+TEST_P(AllocPerTransfer, PacketizerLinkStaysUnderOneAllocationInFourMessages) {
+  std::uint64_t received = 0;
+  Simulator sim;
+  sim.SetParallelism(0);
+  sim.set_mode(GetParam());
+  Clock clk(sim, "clk", 1_ns);
+  Module top(sim, "top");
+  connections::Buffer<std::uint64_t> src(top, "src", clk, 4);
+  connections::Buffer<connections::Flit> link(top, "link", clk, 4);
+  connections::Buffer<std::uint64_t> dst(top, "dst", clk, 4);
+  connections::Packetizer<std::uint64_t> pk(top, "pk", clk);
+  connections::DePacketizer<std::uint64_t> dp(top, "dp", clk);
+  pk.in(src);
+  pk.out(link);
+  dp.in(link);
+  dp.out(dst);
+  struct Tb : Module {
+    Tb(Module& p, Clock& clk, connections::Buffer<std::uint64_t>& src,
+       connections::Buffer<std::uint64_t>& dst, std::uint64_t& received)
+        : Module(p, "tb") {
+      Thread("prod", clk, [&src] {
+        for (std::uint64_t i = 0;; ++i) src.Push(i * 0x9E3779B97F4A7C15ull);
+      });
+      Thread("cons", clk, [&dst, &received] {
+        for (std::uint64_t i = 0;; ++i) {
+          if (dst.Pop() != i * 0x9E3779B97F4A7C15ull) return;  // stops the count
+          ++received;
+        }
+      });
+    }
+  } tb(top, clk, src, dst, received);
+  sim.Run(kWarmUp);
+  const std::uint64_t received_before = received;
+  const std::uint64_t allocs = AllocsDuring(sim, kWindow);
+  const std::uint64_t messages = received - received_before;
+  ASSERT_GT(messages, 500u);
+  // The packetizer and depacketizer keep their bit buffers across messages;
+  // what remains is the channels' std::deque chunk churn.
+  EXPECT_LT(static_cast<double>(allocs) / static_cast<double>(messages), 0.25)
+      << allocs << " allocations over " << messages << " messages";
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModels, AllocPerTransfer,

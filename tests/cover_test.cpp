@@ -255,7 +255,7 @@ Database NormalizedPipelineRun(std::uint64_t seed, unsigned parallelism,
 }
 
 TEST(CoverDeterminism, PipelineFingerprintInvariantAcrossParallelism) {
-  for (const std::string chaos : {std::string(), std::string("latency")}) {
+  for (const std::string& chaos : {std::string(), std::string("latency")}) {
     const Database n1 = NormalizedPipelineRun(5, 1, chaos);
     const Database n2 = NormalizedPipelineRun(5, 2, chaos);
     const Database n4 = NormalizedPipelineRun(5, 4, chaos);
@@ -268,7 +268,7 @@ TEST(CoverDeterminism, MergedShardsAreByteIdenticalAnyOrder) {
   // Three seeds x {fault-free, latency-chaos} shards, plus a corruption run.
   std::vector<Database> shards;
   for (const std::uint64_t seed : {1ull, 7ull, 13ull}) {
-    for (const std::string chaos : {std::string(), std::string("latency")}) {
+    for (const std::string& chaos : {std::string(), std::string("latency")}) {
       RunOptions opt;
       opt.seed = seed;
       opt.parallelism = 1;

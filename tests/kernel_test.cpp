@@ -11,11 +11,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "connections/connections.hpp"
+#include "gals/pausible_fifo.hpp"
 #include "kernel/kernel.hpp"
 
 namespace craft {
@@ -337,6 +341,286 @@ TEST(Thread, WaitNSkipsNCycles) {
   } b(top, clk, end_cycle);
   sim.Run(20_ns);
   EXPECT_EQ(end_cycle, 7u);
+}
+
+// ---- Predicate waits (ThreadProcess::WaitUntil) ----
+//
+// The scheduler re-checks a blocked wait_until predicate in the thread's
+// dispatch slot and resumes the fiber only once it holds. These tests pin
+// that the result is exactly that of the polling loop it replaces,
+// `while (!pred()) wait();`: same order, same cycles, same chaos draws.
+
+/// A module whose threads are added from outside.
+struct Spawner : Module {
+  using Module::Module;
+  ThreadProcess& Spawn(const std::string& name, Clock& clk, std::function<void()> body) {
+    return Thread(name, clk, std::move(body));
+  }
+};
+
+/// How a test thread blocks: the polling loop, wait_until, or (for channel
+/// traffic) the blocking Push/Pop ports, which wait on predicates inside.
+enum class BlockStyle { kPolling, kPredicate, kPorts };
+
+template <typename Pred>
+void BlockUntil(BlockStyle style, Pred&& pred) {
+  if (style == BlockStyle::kPolling) {
+    while (!pred()) wait();
+  } else {
+    wait_until(pred);
+  }
+}
+
+std::uint64_t TotalResumes(const Simulator& sim) {
+  std::uint64_t n = 0;
+  for (const auto& p : sim.processes()) {
+    if (const auto* t = dynamic_cast<const ThreadProcess*>(p.get())) n += t->resume_count();
+  }
+  return n;
+}
+
+struct OrderLog {
+  std::vector<std::string> events;
+  std::uint64_t dispatches = 0;
+  std::uint64_t resumes = 0;
+  std::uint64_t end_cycle = 0;
+};
+
+// Two tickers fold their ids into shared state every edge, a waiter's
+// predicate samples that state, and a producer and a consumer meet at a full
+// Buffer, popping and pushing in the same cycle. Every logged value depends
+// on the dispatch order within a delta.
+OrderLog RunOrderDesign(BlockStyle style) {
+  OrderLog out;
+  Simulator sim;
+  Clock clk(sim, "clk", 1_ns);
+  Spawner top(sim, "top");
+  connections::Buffer<int> ch(top, "ch", clk, 2);
+  std::uint32_t shared = 1;
+  auto note = [&](const std::string& who) {
+    out.events.push_back(who + "@" + std::to_string(clk.cycle()) + ":" +
+                         std::to_string(shared));
+  };
+  for (std::uint32_t t = 0; t < 2; ++t) {
+    top.Spawn("tick" + std::to_string(t), clk, [&, t] {
+      for (;;) {
+        shared = shared * 3 + t;
+        note("tick" + std::to_string(t));
+        wait();
+      }
+    });
+  }
+  top.Spawn("waiter", clk, [&] {
+    for (int round = 0; round < 4; ++round) {
+      BlockUntil(style == BlockStyle::kPolling ? style : BlockStyle::kPredicate, [&] {
+        note("check");
+        return shared % 4 == 0;
+      });
+      note("woke");
+      wait();
+    }
+  });
+  top.Spawn("prod", clk, [&] {
+    for (int i = 0; i < 8; ++i) {
+      if (style == BlockStyle::kPorts) {
+        ch.Push(i);
+      } else {
+        BlockUntil(style, [&] { return ch.PushNB(i); });
+      }
+      note("push" + std::to_string(i));
+    }
+  });
+  top.Spawn("cons", clk, [&] {
+    wait(4);  // the producer fills the buffer meanwhile
+    for (int i = 0; i < 8; ++i) {
+      int v = -1;
+      if (style == BlockStyle::kPorts) {
+        v = ch.Pop();
+      } else {
+        BlockUntil(style, [&] { return ch.PopNB(v); });
+      }
+      note("pop" + std::to_string(v));
+    }
+    out.end_cycle = clk.cycle();
+  });
+  sim.Run(60_ns);
+  out.dispatches = sim.dispatch_count();
+  out.resumes = TotalResumes(sim);
+  return out;
+}
+
+TEST(WaitUntil, KeepsTheDispatchOrderOfThePollingLoop) {
+  const OrderLog polled = RunOrderDesign(BlockStyle::kPolling);
+  ASSERT_GT(polled.end_cycle, 4u) << "the consumer never finished";
+  for (BlockStyle style : {BlockStyle::kPredicate, BlockStyle::kPorts}) {
+    const OrderLog log = RunOrderDesign(style);
+    EXPECT_EQ(log.events, polled.events);
+    EXPECT_EQ(log.end_cycle, polled.end_cycle);
+    EXPECT_EQ(log.dispatches, polled.dispatches);
+    EXPECT_LT(log.resumes, polled.resumes);
+  }
+}
+
+class WaitUntilResumes : public ::testing::TestWithParam<SimMode> {};
+
+TEST_P(WaitUntilResumes, ConsumerBlockedOnAnEmptyBufferResumesOnce) {
+  constexpr std::uint64_t kBlockedCycles = 40;
+  Simulator sim;
+  sim.set_mode(GetParam());
+  Clock clk(sim, "clk", 1_ns);
+  Spawner top(sim, "top");
+  connections::Buffer<int> ch(top, "ch", clk, 2);
+  int got = 0;
+  std::uint64_t got_cycle = 0;
+  const ThreadProcess& cons = top.Spawn("cons", clk, [&] {
+    got = ch.Pop();
+    got_cycle = clk.cycle();
+    for (;;) ch.Pop();  // blocks again; nothing more arrives
+  });
+  top.Spawn("prod", clk, [&] {
+    wait(kBlockedCycles);
+    ch.Push(7);
+  });
+  sim.Run(1_ns);
+  const std::uint64_t before = cons.resume_count();
+  sim.Run((kBlockedCycles + 20) * 1_ns);
+  EXPECT_EQ(got, 7);
+  EXPECT_GT(got_cycle, kBlockedCycles);
+  EXPECT_EQ(cons.resume_count() - before, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothModels, WaitUntilResumes,
+                         ::testing::Values(SimMode::kSimAccurate, SimMode::kSignalAccurate),
+                         [](const ::testing::TestParamInfo<SimMode>& info) {
+                           return info.param == SimMode::kSimAccurate ? "SimAccurate"
+                                                                      : "SignalAccurate";
+                         });
+
+TEST(WaitUntil, IdleCrossingThreadsAreCheckedEveryEdgeButNeverResumed) {
+  Simulator sim;
+  Clock pclk(sim, "pclk", 1_ns);
+  Clock cclk(sim, "cclk", 1'700);
+  Spawner top(sim, "top");
+  connections::Buffer<int> in_ch(top, "in_ch", pclk, 2);
+  connections::Buffer<int> out_ch(top, "out_ch", cclk, 2);
+  gals::PausibleBisyncFifo<int> cdc(top, "cdc", pclk, cclk);
+  cdc.in(in_ch);
+  cdc.out(out_ch);
+  sim.Run(5_ns);
+  auto thread = [&sim](const std::string& name) -> const ThreadProcess& {
+    for (const auto& p : sim.processes()) {
+      if (p->name() == name) return dynamic_cast<const ThreadProcess&>(*p);
+    }
+    throw std::runtime_error("no process " + name);
+  };
+  const ThreadProcess& enq = thread("top.cdc.enq");
+  const ThreadProcess& deq = thread("top.cdc.deq");
+  const std::uint64_t enq_resumes = enq.resume_count();
+  const std::uint64_t deq_resumes = deq.resume_count();
+  const std::uint64_t deq_dispatches = deq.stat_dispatches;
+  const std::uint64_t cycles_before = cclk.cycle();
+  sim.Run(200_ns);
+  EXPECT_EQ(enq.resume_count() - enq_resumes, 0u);
+  EXPECT_EQ(deq.resume_count() - deq_resumes, 0u);
+  // The deq slot poll still takes its dispatch slot at every consumer edge.
+  EXPECT_EQ(deq.stat_dispatches - deq_dispatches, cclk.cycle() - cycles_before);
+}
+
+struct DeferLog {
+  std::vector<std::uint64_t> checks;  ///< cycle of every predicate evaluation
+  std::vector<std::uint64_t> woke;    ///< cycle each wait returned
+  std::uint64_t deferrals = 0;
+};
+
+// A waiter and an always-waiting neighbour on a clock whose wakeups chaos
+// defers: the draws are per waiter per edge, in waiter-list order.
+DeferLog RunDeferredWaiter(BlockStyle style) {
+  DeferLog out;
+  Simulator sim;
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.wakeup_delay_prob = 0.3;
+  sim.chaos().Enable(plan);
+  Clock clk(sim, "clk", 1_ns);
+  Spawner top(sim, "top");
+  top.Spawn("neighbour", clk, [] {
+    for (;;) wait();
+  });
+  top.Spawn("waiter", clk, [&] {
+    for (std::uint64_t target : {10u, 25u, 40u}) {
+      BlockUntil(style, [&] {
+        out.checks.push_back(clk.cycle());
+        return clk.cycle() >= target;
+      });
+      out.woke.push_back(clk.cycle());
+    }
+  });
+  sim.Run(80_ns);
+  out.deferrals = sim.chaos().clock_points().at("clk").deferrals();
+  return out;
+}
+
+TEST(WaitUntil, ChaosDeferralsMatchThePollingLoop) {
+  const DeferLog polled = RunDeferredWaiter(BlockStyle::kPolling);
+  const DeferLog pred = RunDeferredWaiter(BlockStyle::kPredicate);
+  ASSERT_EQ(polled.woke.size(), 3u);
+  EXPECT_GT(polled.deferrals, 0u);
+  EXPECT_EQ(pred.deferrals, polled.deferrals);
+  EXPECT_EQ(pred.checks, polled.checks);
+  EXPECT_EQ(pred.woke, polled.woke);
+}
+
+TEST(WaitUntil, PredicateRunsAsTheWaitingThreadWithoutItsFiber) {
+  Simulator sim;
+  Clock clk(sim, "clk", 1_ns);
+  Spawner top(sim, "top");
+  std::vector<const ThreadProcess*> threads;
+  std::vector<const Fiber*> fibers;
+  const ThreadProcess& t = top.Spawn("t", clk, [&] {
+    wait_until([&] {
+      threads.push_back(ThreadProcess::Current());
+      fibers.push_back(Fiber::Current());
+      return clk.cycle() >= 5;
+    });
+  });
+  sim.Run(10_ns);
+  // One check inline on the fiber at cycle 0, then one per edge 1..5 on the
+  // scheduler's stack; the fiber resumes only after the last.
+  ASSERT_EQ(threads.size(), 6u);
+  for (const ThreadProcess* p : threads) EXPECT_EQ(p, &t);
+  EXPECT_NE(fibers.front(), nullptr);
+  for (std::size_t i = 1; i < fibers.size(); ++i) EXPECT_EQ(fibers[i], nullptr) << i;
+  EXPECT_EQ(t.resume_count(), 2u);
+  EXPECT_TRUE(t.done());
+  EXPECT_EQ(ThreadProcess::Current(), nullptr);
+}
+
+TEST(WaitUntil, PredicateExceptionSurfacesFromRun) {
+  Simulator sim;
+  Clock clk(sim, "clk", 1_ns);
+  Spawner top(sim, "top");
+  top.Spawn("t", clk, [&] {
+    wait_until([&]() -> bool {
+      if (clk.cycle() == 3) throw std::runtime_error("predicate failed");
+      return false;
+    });
+  });
+  EXPECT_THROW(sim.Run(10_ns), std::runtime_error);
+  EXPECT_EQ(clk.cycle(), 3u);
+  EXPECT_EQ(ThreadProcess::Current(), nullptr);
+}
+
+TEST(WaitUntil, BlockingInsideAPredicateIsAnError) {
+  Simulator sim;
+  Clock clk(sim, "clk", 1_ns);
+  Spawner top(sim, "top");
+  top.Spawn("t", clk, [&] {
+    wait_until([&] {
+      if (clk.cycle() == 2) wait();
+      return false;
+    });
+  });
+  EXPECT_THROW(sim.Run(10_ns), SimError);
 }
 
 TEST(Signal, WriteVisibleOnlyAfterUpdatePhase) {
@@ -735,11 +1019,25 @@ TEST(BitStream, FlitRoundTrip) {
   BitStream s;
   s.PutBits(0xDEADBEEF, 32);
   s.PutBits(0x5A, 8);
-  auto flits = s.ToFlits(13);
+  std::vector<std::uint64_t> flits{1, 2, 3, 4, 5, 6};  // replaced, not appended to
+  s.ToFlits(13, flits);
   EXPECT_EQ(flits.size(), DivCeil(40, 13));
-  BitStream r = BitStream::FromFlits(flits, 13);
+  BitStream r;
+  for (std::uint64_t f : flits) r.PutBits(f, 13);
   EXPECT_EQ(r.GetBits(32), 0xDEADBEEFu);
   EXPECT_EQ(r.GetBits(8), 0x5Au);
+}
+
+TEST(BitStream, ClearRewindsForReuse) {
+  BitStream s;
+  s.PutBits(0xFFFF, 16);
+  EXPECT_EQ(s.GetBits(8), 0xFFu);
+  s.Clear();
+  EXPECT_EQ(s.size_bits(), 0u);
+  EXPECT_TRUE(s.exhausted());
+  s.PutBits(0x2A, 7);
+  EXPECT_EQ(s.size_bits(), 7u);
+  EXPECT_EQ(s.GetBits(7), 0x2Au);
 }
 
 TEST(Marshal, IntegralWidths) {
