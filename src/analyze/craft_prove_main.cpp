@@ -4,7 +4,6 @@
 // diagnostics) over each one. Exits non-zero iff any design has a provable
 // deadlock (error-severity finding), so it can gate CI.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,24 +64,19 @@ int main(int argc, char** argv) {
     const std::string doc = analyze::FormatJson(reports);
     if (json_path.empty()) {
       std::fputs(doc.c_str(), stdout);
-    } else {
-      std::ofstream out(json_path);
-      if (!out) {
-        std::fprintf(stderr, "craft_prove: cannot write %s\n", json_path.c_str());
-        return 2;
-      }
-      out << doc;
+    } else if (!cli::WriteFile(json_path, doc)) {
+      std::fprintf(stderr, "craft_prove: cannot write %s\n", json_path.c_str());
+      return 2;
     }
   }
   if (!sarif_path.empty()) {
     std::vector<std::pair<std::string, std::vector<lint::Finding>>> sarif_in;
     for (const auto& [design, a] : reports) sarif_in.emplace_back(design, a.findings);
-    std::ofstream out(sarif_path);
-    if (!out) {
+    if (!cli::WriteFile(sarif_path,
+                        lint::FormatSarif("craft-prove", cli::kToolVersion, sarif_in))) {
       std::fprintf(stderr, "craft_prove: cannot write %s\n", sarif_path.c_str());
       return 2;
     }
-    out << lint::FormatSarif("craft-prove", cli::kToolVersion, sarif_in);
   }
   return errors > 0 ? 1 : 0;
 }

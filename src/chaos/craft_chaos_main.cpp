@@ -8,7 +8,6 @@
 // undetected corruption), 2 on usage errors — a plain ctest invocation
 // doubles as the fault-injection regression suite.
 #include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "chaos/campaign.hpp"
@@ -123,13 +122,10 @@ int main(int argc, char** argv) {
   const auto results = craft::chaos::RunCampaigns(config);
   const unsigned failures = craft::chaos::FailureCount(results);
 
-  if (!cover_path.empty()) {
-    std::ofstream cov(cover_path);
-    if (!cov) {
-      std::fprintf(stderr, "craft_chaos: cannot write %s\n", cover_path.c_str());
-      return 2;
-    }
-    cov << craft::cover::FormatJson(cover_db);
+  if (!cover_path.empty() &&
+      !craft::cli::WriteFile(cover_path, craft::cover::FormatJson(cover_db))) {
+    std::fprintf(stderr, "craft_chaos: cannot write %s\n", cover_path.c_str());
+    return 2;
   }
 
   // With --json to stdout, the JSON document must be the only thing there.
@@ -148,13 +144,9 @@ int main(int argc, char** argv) {
     const std::string doc = craft::chaos::FormatJson(config, results);
     if (json_path.empty()) {
       std::fputs(doc.c_str(), stdout);
-    } else {
-      std::ofstream out(json_path);
-      if (!out) {
-        std::fprintf(stderr, "craft_chaos: cannot write %s\n", json_path.c_str());
-        return 2;
-      }
-      out << doc;
+    } else if (!craft::cli::WriteFile(json_path, doc)) {
+      std::fprintf(stderr, "craft_chaos: cannot write %s\n", json_path.c_str());
+      return 2;
     }
   }
   if (hb_file != nullptr) std::fclose(hb_file);

@@ -65,10 +65,7 @@ bool WriteOutput(const std::string& path, const std::string& text) {
     std::fputs(text.c_str(), stdout);
     return true;
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << text;
-  return static_cast<bool>(out);
+  return craft::cli::WriteFile(path, text);
 }
 
 /// Loads and parses one craft-cover-v1 file; returns false (with a message

@@ -348,13 +348,9 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (have_cover) {
-    std::ofstream out(cover_out, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "craft_farm: cannot write %s\n", cover_out.c_str());
-      return 2;
-    }
-    out << cover::FormatJson(merged);
+  if (have_cover && !cli::WriteFile(cover_out, cover::FormatJson(merged))) {
+    std::fprintf(stderr, "craft_farm: cannot write %s\n", cover_out.c_str());
+    return 2;
   }
 
   // Tally + gate. Waived trials are reported but never gate the exit code.
@@ -478,14 +474,9 @@ int main(int argc, char** argv) {
   w.Raw(",\n  ").Key("gated").Bool(gated);
   w.Raw("\n}\n");
 
-  {
-    std::ofstream out(manifest_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "craft_farm: cannot write %s\n",
-                   manifest_path.c_str());
-      return 2;
-    }
-    out << w.str();
+  if (!cli::WriteFile(manifest_path, w.str())) {
+    std::fprintf(stderr, "craft_farm: cannot write %s\n", manifest_path.c_str());
+    return 2;
   }
 
   if (!quiet) {

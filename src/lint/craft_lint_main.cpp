@@ -5,7 +5,6 @@
 // while still publishing warnings.
 //
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -149,22 +148,16 @@ int main(int argc, char** argv) {
     const std::string doc = lint::FormatJson(reports);
     if (json_path.empty()) {
       std::fputs(doc.c_str(), stdout);
-    } else {
-      std::ofstream out(json_path);
-      if (!out) {
-        std::fprintf(stderr, "craft_lint: cannot write %s\n", json_path.c_str());
-        return 2;
-      }
-      out << doc;
-    }
-  }
-  if (!sarif_path.empty()) {
-    std::ofstream out(sarif_path);
-    if (!out) {
-      std::fprintf(stderr, "craft_lint: cannot write %s\n", sarif_path.c_str());
+    } else if (!cli::WriteFile(json_path, doc)) {
+      std::fprintf(stderr, "craft_lint: cannot write %s\n", json_path.c_str());
       return 2;
     }
-    out << lint::FormatSarif("craft-lint", cli::kToolVersion, reports);
+  }
+  if (!sarif_path.empty() &&
+      !cli::WriteFile(sarif_path,
+                      lint::FormatSarif("craft-lint", cli::kToolVersion, reports))) {
+    std::fprintf(stderr, "craft_lint: cannot write %s\n", sarif_path.c_str());
+    return 2;
   }
   return gating > 0 ? 1 : 0;
 }

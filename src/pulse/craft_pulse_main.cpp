@@ -13,7 +13,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -145,13 +144,11 @@ bool WriteDoc(const std::string& doc, const std::string& path,
     std::fputs(doc.c_str(), stdout);
     return true;
   }
-  std::ofstream out(path);
-  if (!out) {
+  if (!cli::WriteFile(path, doc)) {
     std::fprintf(stderr, "craft_pulse: cannot write %s file %s\n", what,
                  path.c_str());
     return false;
   }
-  out << doc;
   return true;
 }
 

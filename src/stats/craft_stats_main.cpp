@@ -9,7 +9,6 @@
 // invocation doubles as an end-to-end telemetry smoke test.
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -177,13 +176,9 @@ int main(int argc, char** argv) {
   if (!doc.empty()) {
     if (out_path.empty()) {
       std::fputs(doc.c_str(), stdout);
-    } else {
-      std::ofstream out(out_path);
-      if (!out) {
-        std::fprintf(stderr, "craft_stats: cannot write %s\n", out_path.c_str());
-        return 2;
-      }
-      out << doc;
+    } else if (!cli::WriteFile(out_path, doc)) {
+      std::fprintf(stderr, "craft_stats: cannot write %s\n", out_path.c_str());
+      return 2;
     }
   }
   return failures > 0 ? 1 : 0;

@@ -7,6 +7,14 @@
 
 namespace craft::cli {
 
+bool WriteFile(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool wrote = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  const bool closed = std::fclose(f) == 0;
+  return wrote && closed;
+}
+
 Parser::Parser(std::string tool, std::string usage)
     : tool_(std::move(tool)), usage_(std::move(usage)) {}
 

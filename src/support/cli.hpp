@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace craft::cli {
@@ -41,6 +42,11 @@ enum class Status {
 
 /// Maps a terminal Status to the process exit code.
 inline int ExitCode(Status s) { return s == Status::kExitOk ? 0 : 2; }
+
+/// Writes `text` to `path`, replacing it, and closes the file. False on any
+/// failure: open, write, or the flush at close (where a full disk shows).
+/// Mains print one "cannot write PATH" line and exit 2 on false.
+bool WriteFile(const std::string& path, std::string_view text);
 
 class Parser {
  public:

@@ -2,60 +2,72 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
 namespace craft::json {
 
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
+void EscapeTo(std::string* out, std::string_view s) {
+  // Bytes that need no escape are appended in runs, not one at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\n': out->append("\\n"); break;
+      case '\t': out->append("\\t"); break;
+      case '\r': out->append("\\r"); break;
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char u[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out->append(u, sizeof u);
+      }
     }
   }
+  out->append(s.data() + run, s.size() - run);
+}
+
+std::string Escape(std::string_view s) {
+  std::string out;
+  EscapeTo(&out, s);
   return out;
 }
 
-std::string Quote(const std::string& s) { return "\"" + Escape(s) + "\""; }
+std::string Quote(std::string_view s) {
+  std::string out = "\"";
+  EscapeTo(&out, s);
+  out += '"';
+  return out;
+}
 
-Writer& Writer::String(const std::string& s) {
+Writer& Writer::String(std::string_view s) {
   out_ += '"';
-  out_ += Escape(s);
+  EscapeTo(&out_, s);
   out_ += '"';
   return *this;
 }
 
-Writer& Writer::Key(const std::string& key) {
+Writer& Writer::Key(std::string_view key) {
   String(key);
   out_ += ": ";
   return *this;
 }
 
 Writer& Writer::U64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  return Raw(buf);
+  char buf[20];  // UINT64_MAX has 20 digits
+  const char* end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  return Raw({buf, static_cast<std::size_t>(end - buf)});
 }
 
 Writer& Writer::I64(std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  return Raw(buf);
+  char buf[20];  // INT64_MIN: a sign and 19 digits
+  const char* end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  return Raw({buf, static_cast<std::size_t>(end - buf)});
 }
 
 Writer& Writer::Double(double v) {

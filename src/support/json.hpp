@@ -1,10 +1,11 @@
 // craft::json — the one JSON layer every craft_* tool shares.
 //
-// Emission: `Escape`/`Quote` plus a byte-exact `Writer`. The repo's report
-// documents (craft-lint-v1, craft-chaos-v1, craft-cover-v1, ...) are golden-
-// tested byte for byte and diffed across runs/shards, so the Writer does NOT
-// impose a layout of its own: callers keep full control of whitespace via
-// Raw(), while all string quoting/escaping funnels through one escaper.
+// Emission: the appending `EscapeTo`, `Escape`/`Quote` over it, and a
+// byte-exact `Writer`. The repo's report documents (craft-lint-v1,
+// craft-chaos-v1, craft-cover-v1, ...) are golden-tested byte for byte and
+// diffed across runs/shards, so the Writer does NOT impose a layout of its
+// own: callers keep full control of whitespace via Raw(), while all string
+// quoting/escaping funnels through one escaper.
 //
 // Parsing: a small recursive-descent parser for the subset the repo emits
 // (objects, arrays, strings with the escapes Escape produces, integers,
@@ -20,14 +21,18 @@
 
 namespace craft::json {
 
-/// Escapes `s` for inclusion inside a JSON string literal: `"` `\` `\n` `\t`
-/// `\r` get two-character escapes, every other control byte < 0x20 becomes
-/// \u00xx, and everything else (including UTF-8 multibyte sequences) passes
-/// through untouched.
-std::string Escape(const std::string& s);
+/// Appends `s` escaped for inclusion inside a JSON string literal to *out:
+/// `"` `\` `\n` `\t` `\r` get two-character escapes, every other control
+/// byte < 0x20 becomes \u00xx, and everything else (including UTF-8
+/// multibyte sequences) passes through untouched. The one escaper; the
+/// functions below wrap it.
+void EscapeTo(std::string* out, std::string_view s);
+
+/// EscapeTo into a fresh string.
+std::string Escape(std::string_view s);
 
 /// `"` + Escape(s) + `"` — the quoted form every emitter wants.
-std::string Quote(const std::string& s);
+std::string Quote(std::string_view s);
 
 /// Byte-exact document builder. Layout (newlines, indentation, separators)
 /// stays with the caller via Raw(); the Writer owns correctness-critical
@@ -42,9 +47,9 @@ class Writer {
     return *this;
   }
   /// Appends the quoted, escaped string literal.
-  Writer& String(const std::string& s);
+  Writer& String(std::string_view s);
   /// Appends `"key": ` (quoted key, colon, one space).
-  Writer& Key(const std::string& key);
+  Writer& Key(std::string_view key);
   Writer& U64(std::uint64_t v);
   Writer& I64(std::int64_t v);
   Writer& Bool(bool v) { return Raw(v ? "true" : "false"); }
@@ -61,6 +66,10 @@ class Writer {
     *first = false;
     return *this;
   }
+
+  /// Reserves room for `bytes` of document, so appends up to that size
+  /// never reallocate.
+  void Reserve(std::size_t bytes) { out_.reserve(bytes); }
 
   const std::string& str() const { return out_; }
   std::string Take() { return std::move(out_); }

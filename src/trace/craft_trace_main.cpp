@@ -10,7 +10,6 @@
 // end-to-end tracing smoke test.
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -194,13 +193,10 @@ int main(int argc, char** argv) {
     const bool valid = Validate(r, &why);
     if (!valid) ++failures;
     const std::string path = TracePathFor(trace_path, w.name, selected.size() > 1);
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
+    if (!cli::WriteFile(path, r.trace_json)) {
       std::fprintf(stderr, "craft_trace: cannot write %s\n", path.c_str());
       return 2;
     }
-    out << r.trace_json;
-    out.close();
     if (!quiet) {
       std::fprintf(text_out,
                    "==== workload %s: %s (%llu cycles) ====\n"
@@ -229,13 +225,9 @@ int main(int argc, char** argv) {
     doc += "  ]\n}\n";
     if (json_path.empty()) {
       std::fputs(doc.c_str(), stdout);
-    } else {
-      std::ofstream out(json_path);
-      if (!out) {
-        std::fprintf(stderr, "craft_trace: cannot write %s\n", json_path.c_str());
-        return 2;
-      }
-      out << doc;
+    } else if (!cli::WriteFile(json_path, doc)) {
+      std::fprintf(stderr, "craft_trace: cannot write %s\n", json_path.c_str());
+      return 2;
     }
   }
   return failures > 0 ? 1 : 0;

@@ -1,8 +1,9 @@
-// Heap-allocation gate for the kernel hot path. The counts are exact, so the
-// bounds sit far from noise: a steady-state clock edge allocates nothing, and
-// a channel transfer allocates almost nothing. This binary replaces global
-// operator new with a counting one, which is why it is not part of
-// kernel_test.
+// Heap-allocation gate for the kernel hot path and the trace export. The
+// counts are exact, so the bounds sit far from noise: a steady-state clock
+// edge allocates nothing, a channel transfer allocates almost nothing, and
+// the Chrome trace export allocates per track, not per event. This binary
+// replaces global operator new with a counting one, which is why it is not
+// part of kernel_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include "connections/connections.hpp"
 #include "connections/packetizer.hpp"
 #include "kernel/kernel.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -143,6 +145,64 @@ INSTANTIATE_TEST_SUITE_P(BothModels, AllocPerTransfer,
                            return info.param == SimMode::kSimAccurate ? "SimAccurate"
                                                                       : "SignalAccurate";
                          });
+
+struct ExportAllocs {
+  std::uint64_t allocs = 0;
+  std::size_t tracks = 0;
+  std::size_t events = 0;
+};
+
+/// Traces a producer -> relay -> consumer chain for `window`, then counts the
+/// heap allocations FormatChromeJson makes. The track names are longer than
+/// 15 characters, so a per-event copy of a name cannot hide in std::string's
+/// inline buffer.
+ExportAllocs AllocsToExportAfter(Time window) {
+  Simulator sim;
+  sim.SetParallelism(0);
+  sim.trace_events().Enable();
+  Clock clk(sim, "clk", 1_ns);
+  Module top(sim, "traced_pipeline");
+  connections::Buffer<int> ingress(top, "ingress_channel", clk, 2);
+  connections::Buffer<int> egress(top, "egress_channel", clk, 2);
+  struct Tb : Module {
+    Tb(Module& p, Clock& clk, connections::Buffer<int>& ingress,
+       connections::Buffer<int>& egress)
+        : Module(p, "tb") {
+      Thread("prod", clk, [&ingress] {
+        for (int i = 0;; ++i) ingress.Push(i);
+      });
+      Thread("relay", clk, [&ingress, &egress] {
+        for (;;) egress.Push(ingress.Pop());
+      });
+      Thread("cons", clk, [&egress] {
+        for (;;) egress.Pop();
+      });
+    }
+  } tb(top, clk, ingress, egress);
+  sim.Run(window);
+  ExportAllocs r;
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::string doc = trace::FormatChromeJson(sim);
+  r.allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  r.tracks = sim.trace_events().tracks().size();
+  r.events = sim.trace_events().events().size();
+  return r;
+}
+
+TEST(Alloc, TraceExportAllocatesPerTrackNotPerEvent) {
+  constexpr Time kTraced = 2_us;
+  const ExportAllocs shorter = AllocsToExportAfter(kTraced);
+  const ExportAllocs longer = AllocsToExportAfter(4 * kTraced);
+  ASSERT_GT(shorter.events, 1000u);
+  ASSERT_GT(longer.events, 3 * shorter.events);
+  // Equal for four times the events, give or take one final buffer growth.
+  EXPECT_LE(longer.allocs, shorter.allocs + 1)
+      << shorter.allocs << " allocations for " << shorter.events << " events, "
+      << longer.allocs << " for " << longer.events;
+  EXPECT_LE(shorter.allocs, longer.allocs + 1);
+  EXPECT_LE(longer.allocs, 16 * longer.tracks)
+      << longer.allocs << " allocations for " << longer.tracks << " tracks";
+}
 
 }  // namespace
 }  // namespace craft

@@ -1,9 +1,17 @@
 // craft::cli / craft::json unit tests: the shared CLI grammar every
-// craft_* entrypoint parses with, and the one JSON layer all craft-*-v1
-// emitters funnel through (hostile-string escaping included).
+// craft_* entrypoint parses with, the one JSON layer all craft-*-v1
+// emitters funnel through (hostile-string escaping included), and the
+// checked file write behind every tool's output flag.
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -62,6 +70,58 @@ TEST(JsonQuote, WrapsAndEscapes) {
   EXPECT_EQ(json::Quote("a\"b"), "\"a\\\"b\"");
 }
 
+/// The escaper as it was written before EscapeTo: one byte at a time, with
+/// snprintf for the \u00xx forms. The reference the appending one must match.
+std::string ReferenceEscape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+TEST(JsonEscapeTo, AppendsWhatEscapeReturnsForEveryByte) {
+  for (int b = 0; b < 256; ++b) {
+    const std::string s(1, static_cast<char>(b));
+    std::string out = "prefix";
+    json::EscapeTo(&out, s);
+    EXPECT_EQ(out, "prefix" + ReferenceEscape(s)) << "byte " << b;
+    EXPECT_EQ(json::Escape(s), ReferenceEscape(s)) << "byte " << b;
+  }
+}
+
+TEST(JsonEscapeTo, AppendsWhatEscapeReturnsForUtf8AndMixedRuns) {
+  const std::string sample =
+      "caf\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x9a\x80 \"q\" a\\b\tc\nd\re\x01\x1f";
+  std::string out = "x";
+  json::EscapeTo(&out, sample);
+  EXPECT_EQ(out, "x" + ReferenceEscape(sample));
+  EXPECT_EQ(json::Escape(sample), ReferenceEscape(sample));
+}
+
+TEST(JsonQuote, QuoteStringAndKeyOutputIsUnchanged) {
+  const std::string hostile = "a\"b\\c\nd\te\rf\x01g";
+  const std::string quoted = "\"a\\\"b\\\\c\\nd\\te\\rf\\u0001g\"";
+  EXPECT_EQ(json::Quote(hostile), quoted);
+  json::Writer w;
+  w.String(hostile).Raw(" ").Key(hostile);
+  EXPECT_EQ(w.str(), quoted + " " + quoted + ": ");
+}
+
 // ---------------------------------------------------------------------------
 // json::Writer
 
@@ -87,6 +147,29 @@ TEST(JsonWriter, SepEmitsFirstFormOnce) {
   w.Sep(&first, "\n", ",\n").Raw("b");
   EXPECT_EQ(w.str(), "\na,\nb");
   EXPECT_FALSE(first);
+}
+
+TEST(JsonWriter, IntegersMatchSnprintf) {
+  const auto u64_text = [](std::uint64_t v) {
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
+    return std::string(buf);
+  };
+  const auto i64_text = [](std::int64_t v) {
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%" PRId64, v);
+    return std::string(buf);
+  };
+  for (const std::uint64_t v : {std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max()}) {
+    json::Writer w;
+    EXPECT_EQ(w.U64(v).str(), u64_text(v));
+  }
+  for (const std::int64_t v : {std::int64_t{0}, std::int64_t{-1},
+                               std::numeric_limits<std::int64_t>::min(),
+                               std::numeric_limits<std::int64_t>::max()}) {
+    json::Writer w;
+    EXPECT_EQ(w.I64(v).str(), i64_text(v));
+  }
 }
 
 TEST(JsonWriter, DocumentParsesBack) {
@@ -257,6 +340,32 @@ TEST(CliParser, HelpAndVersionExitOk) {
 TEST(CliParser, ExitCodeMapping) {
   EXPECT_EQ(cli::ExitCode(cli::Status::kExitOk), 0);
   EXPECT_EQ(cli::ExitCode(cli::Status::kExitUsage), 2);
+}
+
+// ---------------------------------------------------------------------------
+// cli::WriteFile
+
+TEST(CliWriteFile, WritesAndReplacesTheFile) {
+  const std::string path = ::testing::TempDir() + "/craft_write_file_test.txt";
+  ASSERT_TRUE(cli::WriteFile(path, "a longer first version\n"));
+  ASSERT_TRUE(cli::WriteFile(path, std::string("x\0y", 3)));
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream got;
+  got << in.rdbuf();
+  EXPECT_EQ(got.str(), std::string("x\0y", 3));
+  std::remove(path.c_str());
+}
+
+TEST(CliWriteFile, FailsWhenTheFileCannotBeOpened) {
+  EXPECT_FALSE(cli::WriteFile(::testing::TempDir() + "/no/such/dir/f.json", "{}"));
+}
+
+// /dev/full accepts the open and the buffered write, and fails the flush at
+// close: the failure an unchecked `std::ofstream << doc` lets through.
+TEST(CliWriteFile, FailsWhenTheFlushAtCloseFails) {
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no writable /dev/full";
+  EXPECT_FALSE(cli::WriteFile("/dev/full", "{}\n"));
+  EXPECT_FALSE(cli::WriteFile("/dev/full", std::string(1 << 20, 'x')));
 }
 
 }  // namespace

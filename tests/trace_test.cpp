@@ -4,6 +4,7 @@
 // chains, and the VCD Tracer header/initial-value fixes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -14,6 +15,7 @@
 #include "connections/connections.hpp"
 #include "connections/packetizer.hpp"
 #include "kernel/kernel.hpp"
+#include "soc/workloads.hpp"
 #include "trace/trace.hpp"
 
 namespace craft {
@@ -351,6 +353,166 @@ TEST(TraceChromeJson, StructureAndMetadata) {
   EXPECT_EQ(CountSubstr(doc, "\"thread_name\""), 2u);
   EXPECT_EQ(CountSubstr(doc, "\"ph\":\"b\""), 16u);  // 8 msgs x 2 channels
   EXPECT_EQ(CountSubstr(doc, "\"ph\":\"b\""), CountSubstr(doc, "\"ph\":\"e\""));
+}
+
+// ---------- Chrome JSON golden pins ----------
+
+/// A small traced design that reaches every branch of FormatChromeJson: two
+/// owner modules, a track name full of bytes JSON must escape, tracks with
+/// and without a clock, Packetizer flit spans (`flit`, `parent`), an
+/// activity span with `arg`, both stall instants, truncated closes after a
+/// Stop(), a begin dropped by the event cap that is still open at the stop
+/// (skipped), and timestamps past 1 us with a picosecond remainder.
+std::string GoldenDesignDoc(unsigned parallelism) {
+  Simulator sim;
+  sim.SetParallelism(parallelism);
+  sim.trace_events().Enable();
+  sim.trace_events().set_max_events(16);
+  Clock clk(sim, "clk", 1'250, /*first_edge=*/1'000'250);
+  Module top(sim, "top");
+  Buffer<PMsg> in_ch(top, "in_ch", clk, 1);
+  Buffer<Flit> flit_ch(top, "flit_ch", clk, 1);
+  Buffer<PMsg> out_ch(top, "out_ch", clk, 1);
+  connections::Packetizer<PMsg, 16> pk(top, "pk", clk, /*dest=*/3);
+  connections::DePacketizer<PMsg, 16> dpk(top, "dpk", clk);
+  pk.in(in_ch);
+  pk.out(flit_ch);
+  dpk.in(flit_ch);
+  dpk.out(out_ch);
+  TraceTrack* lane = sim.trace_events().RegisterTrack(
+      "top.s\"u\\b.l\ta\nn\x01" "e", "activity", "");
+  struct Tb : Module {
+    Tb(Module& p, Clock& clk, Buffer<PMsg>& in_ch, Buffer<PMsg>& out_ch,
+       TraceTrack& lane)
+        : Module(p, "tb") {
+      Thread("src", clk, [&in_ch] {
+        for (std::uint32_t i = 0;; ++i) {
+          in_ch.Push(PMsg{0x100 + i, static_cast<std::uint16_t>(i)});
+        }
+      });
+      Thread("dst", clk, [&out_ch] {
+        for (;;) (void)out_ch.Pop();
+      });
+      Thread("script", clk, [&lane, this] {
+        lane.BeginActivity(42);  // never ended: closed as truncated
+        const std::uint64_t brief = lane.BeginActivity();
+        wait(2);
+        lane.EndActivity(brief);
+        wait(2);                // the event cap is reached by now
+        lane.BeginActivity(7);  // dropped, still open at the stop
+        sim().Stop();
+      });
+    }
+  } tb(top, clk, in_ch, out_ch, *lane);
+  sim.RunUntil(1_ms);
+
+  EXPECT_GT(sim.trace_events().dropped_events(), 0u);
+  const auto& resident = lane->resident_spans();
+  EXPECT_TRUE(!resident.empty() && (resident.back() >> 63) != 0)
+      << "dropped begin not open";
+  return trace::FormatChromeJson(sim);
+}
+
+/// FNV-1a, 64 bit: a fingerprint for documents too large to pin inline.
+std::uint64_t Fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(TraceChromeJsonGolden, SmallDesignByteForByte) {
+  EXPECT_EQ(GoldenDesignDoc(0), R"json({
+"traceEvents": [
+{"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"top"}},
+{"ph":"M","name":"process_name","pid":2,"tid":0,"args":{"name":"top.s\"u\\b"}},
+{"ph":"M","name":"thread_name","pid":1,"tid":1,"args":{"name":"in_ch [Buffer]"}},
+{"ph":"M","name":"thread_name","pid":1,"tid":2,"args":{"name":"flit_ch [Buffer]"}},
+{"ph":"M","name":"thread_name","pid":1,"tid":3,"args":{"name":"out_ch [Buffer]"}},
+{"ph":"M","name":"thread_name","pid":2,"tid":1,"args":{"name":"l\ta\nn\u0001e [activity]"}},
+{"ph":"i","s":"t","cat":"stall","name":"empty_stall","pid":1,"tid":1,"ts":0.000000},
+{"ph":"i","s":"t","cat":"stall","name":"empty_stall","pid":1,"tid":2,"ts":0.000000},
+{"ph":"b","cat":"span","id":"0x1","name":"top.in_ch","pid":1,"tid":1,"ts":0.000000,"args":{"kind":"Buffer","clock":"clk"}},
+{"ph":"i","s":"t","cat":"stall","name":"full_stall","pid":1,"tid":1,"ts":0.000000},
+{"ph":"i","s":"t","cat":"stall","name":"empty_stall","pid":1,"tid":3,"ts":0.000000},
+{"ph":"b","cat":"span","id":"0x2","name":"top.s\"u\\b.l\ta\nn\u0001e","pid":2,"tid":1,"ts":0.000000,"args":{"kind":"activity","arg":42}},
+{"ph":"b","cat":"span","id":"0x3","name":"top.s\"u\\b.l\ta\nn\u0001e","pid":2,"tid":1,"ts":0.000000,"args":{"kind":"activity"}},
+{"ph":"e","cat":"span","id":"0x1","name":"top.in_ch","pid":1,"tid":1,"ts":1.000250},
+{"ph":"b","cat":"span","id":"0x4","name":"top.flit_ch","pid":1,"tid":2,"ts":1.000250,"args":{"kind":"Buffer","clock":"clk","flit":0,"parent":"0x1"}},
+{"ph":"i","s":"t","cat":"stall","name":"full_stall","pid":1,"tid":2,"ts":1.000250},
+{"ph":"b","cat":"span","id":"0x6","name":"top.in_ch","pid":1,"tid":1,"ts":1.000250,"args":{"kind":"Buffer","clock":"clk"}},
+{"ph":"i","s":"t","cat":"stall","name":"full_stall","pid":1,"tid":1,"ts":1.000250},
+{"ph":"e","cat":"span","id":"0x4","name":"top.flit_ch","pid":1,"tid":2,"ts":1.001500},
+{"ph":"i","s":"t","cat":"stall","name":"empty_stall","pid":1,"tid":2,"ts":1.001500},
+{"ph":"e","cat":"span","id":"0x3","name":"top.s\"u\\b.l\ta\nn\u0001e","pid":2,"tid":1,"ts":1.001500},
+{"ph":"b","cat":"span","id":"0x5","name":"top.flit_ch","pid":1,"tid":2,"ts":1.002750,"args":{"kind":"Buffer","clock":"clk","flit":1,"parent":"0x1"}},
+{"ph":"i","s":"t","cat":"stall","name":"full_stall","pid":1,"tid":2,"ts":1.002750},
+{"ph":"e","cat":"span","id":"0x5","name":"top.flit_ch","pid":1,"tid":2,"ts":1.004000},
+{"ph":"i","s":"t","cat":"stall","name":"empty_stall","pid":1,"tid":2,"ts":1.004000},
+{"ph":"e","cat":"span","id":"0x6","name":"top.in_ch","pid":1,"tid":1,"ts":1.004000,"args":{"truncated":true}},
+{"ph":"e","cat":"span","id":"0x2","name":"top.s\"u\\b.l\ta\nn\u0001e","pid":2,"tid":1,"ts":1.004000,"args":{"truncated":true}}
+],
+"displayTimeUnit": "ms",
+"otherData": {"schema": "craft-trace-v1", "tracks": 4, "spans": 8, "begins": 7, "ends": 4, "truncated": 2, "dropped_events": 1}
+}
+)json");
+}
+
+// Sharded span ids are (group + 1) << 40 | index: the hex path past 2^40.
+TEST(TraceChromeJsonGolden, ShardedSpanIdsByteForByte) {
+  EXPECT_EQ(GoldenDesignDoc(2), R"json({
+"traceEvents": [
+{"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"top"}},
+{"ph":"M","name":"process_name","pid":2,"tid":0,"args":{"name":"top.s\"u\\b"}},
+{"ph":"M","name":"thread_name","pid":1,"tid":1,"args":{"name":"in_ch [Buffer]"}},
+{"ph":"M","name":"thread_name","pid":1,"tid":2,"args":{"name":"flit_ch [Buffer]"}},
+{"ph":"M","name":"thread_name","pid":1,"tid":3,"args":{"name":"out_ch [Buffer]"}},
+{"ph":"M","name":"thread_name","pid":2,"tid":1,"args":{"name":"l\ta\nn\u0001e [activity]"}},
+{"ph":"i","s":"t","cat":"stall","name":"full_stall","pid":1,"tid":1,"ts":0.000000},
+{"ph":"i","s":"t","cat":"stall","name":"empty_stall","pid":1,"tid":1,"ts":0.000000},
+{"ph":"b","cat":"span","id":"0x10000000001","name":"top.in_ch","pid":1,"tid":1,"ts":0.000000,"args":{"kind":"Buffer","clock":"clk"}},
+{"ph":"i","s":"t","cat":"stall","name":"empty_stall","pid":1,"tid":2,"ts":0.000000},
+{"ph":"i","s":"t","cat":"stall","name":"empty_stall","pid":1,"tid":3,"ts":0.000000},
+{"ph":"b","cat":"span","id":"0x10000000002","name":"top.s\"u\\b.l\ta\nn\u0001e","pid":2,"tid":1,"ts":0.000000,"args":{"kind":"activity","arg":42}},
+{"ph":"b","cat":"span","id":"0x10000000003","name":"top.s\"u\\b.l\ta\nn\u0001e","pid":2,"tid":1,"ts":0.000000,"args":{"kind":"activity"}},
+{"ph":"i","s":"t","cat":"stall","name":"full_stall","pid":1,"tid":1,"ts":1.000250},
+{"ph":"e","cat":"span","id":"0x10000000001","name":"top.in_ch","pid":1,"tid":1,"ts":1.000250},
+{"ph":"b","cat":"span","id":"0x10000000006","name":"top.in_ch","pid":1,"tid":1,"ts":1.000250,"args":{"kind":"Buffer","clock":"clk"}},
+{"ph":"i","s":"t","cat":"stall","name":"full_stall","pid":1,"tid":2,"ts":1.000250},
+{"ph":"b","cat":"span","id":"0x10000000004","name":"top.flit_ch","pid":1,"tid":2,"ts":1.000250,"args":{"kind":"Buffer","clock":"clk","flit":0,"parent":"0x10000000001"}},
+{"ph":"i","s":"t","cat":"stall","name":"empty_stall","pid":1,"tid":2,"ts":1.001500},
+{"ph":"e","cat":"span","id":"0x10000000004","name":"top.flit_ch","pid":1,"tid":2,"ts":1.001500},
+{"ph":"e","cat":"span","id":"0x10000000003","name":"top.s\"u\\b.l\ta\nn\u0001e","pid":2,"tid":1,"ts":1.001500},
+{"ph":"i","s":"t","cat":"stall","name":"full_stall","pid":1,"tid":2,"ts":1.002750},
+{"ph":"b","cat":"span","id":"0x10000000005","name":"top.flit_ch","pid":1,"tid":2,"ts":1.002750,"args":{"kind":"Buffer","clock":"clk","flit":1,"parent":"0x10000000001"}},
+{"ph":"i","s":"t","cat":"stall","name":"empty_stall","pid":1,"tid":2,"ts":1.004000},
+{"ph":"e","cat":"span","id":"0x10000000005","name":"top.flit_ch","pid":1,"tid":2,"ts":1.004000},
+{"ph":"e","cat":"span","id":"0x10000000006","name":"top.in_ch","pid":1,"tid":1,"ts":1.004000,"args":{"truncated":true}},
+{"ph":"e","cat":"span","id":"0x10000000002","name":"top.s\"u\\b.l\ta\nn\u0001e","pid":2,"tid":1,"ts":1.004000,"args":{"truncated":true}}
+],
+"displayTimeUnit": "ms",
+"otherData": {"schema": "craft-trace-v1", "tracks": 4, "spans": 8, "begins": 7, "ends": 4, "truncated": 2, "dropped_events": 1}
+}
+)json");
+}
+
+TEST(TraceChromeJsonGolden, Conv2dGalsSocLengthAndHash) {
+  Simulator sim;
+  sim.SetParallelism(0);
+  sim.stats().Enable();
+  sim.trace_events().Enable();
+  soc::SocTop soc(sim, soc::SocConfig{});
+  const auto all = soc::AllWorkloads();
+  const auto conv2d = std::find_if(all.begin(), all.end(),
+                                   [](const soc::Workload& w) { return w.name == "conv2d"; });
+  ASSERT_NE(conv2d, all.end());
+  ASSERT_TRUE(soc::RunWorkload(soc, *conv2d, 50_ms).ok);
+  const std::string doc = trace::FormatChromeJson(sim);
+  // The document `craft_trace --workload conv2d` writes.
+  EXPECT_EQ(doc.size(), 7'082'255u);
+  EXPECT_EQ(Fnv1a(doc), 0x050fcd05c24a11ecull);
 }
 
 // ---------- VCD Tracer fixes ----------
