@@ -503,11 +503,16 @@ class Channel : public Module {
   }
 
   /// Sequential state update at the posedge, sampling committed signals.
+  /// Runs every edge (it is the register, and its stall counters count per
+  /// cycle), but retriggers comb only on an edge that pushed or popped q_:
+  /// comb reads nothing else but its input signals and, on a channel with a
+  /// chaos point, the stall mask, which the edge hook retriggers it for.
   void SigSeq() {
     const bool in_xfer = sig_->p_valid.read() && sig_->p_ready.read();
     const bool out_xfer = sig_->c_valid.read() && sig_->c_ready.read();
     bool stat_enq = false;
     bool stat_deq = false;
+    bool q_changed = false;
     switch (kind_) {
       case ChannelKind::kCombinational:
         if (in_xfer && out_xfer) {
@@ -533,6 +538,7 @@ class Channel : public Module {
         // stamp pushed by StatEnqueue is immediately consumed (latency 0).
         stat_enq = in_xfer;
         stat_deq = out_xfer;
+        q_changed = (in_xfer || out_xfer) && !bypassed;
         break;
       }
       case ChannelKind::kPipeline:
@@ -547,12 +553,13 @@ class Channel : public Module {
         }
         stat_enq = in_xfer;
         stat_deq = out_xfer;
+        q_changed = in_xfer || out_xfer;
         break;
     }
     SigSeqStats(stat_enq, stat_deq);
     SigSeqTrace(stat_enq, stat_deq);
     if (cover_ != nullptr && (stat_enq || stat_deq)) cover_->OnOccupancy(q_.size());
-    sig_->state_change.write(sig_->state_change.read() + 1);
+    if (q_changed) sig_->state_change.write(sig_->state_change.read() + 1);
   }
 
   /// Stats for the signal-accurate edge: enqueue stamps before dequeue pops

@@ -385,7 +385,7 @@ void Engine::RunUntil(Time t) {
     // Boundaries in (last event, t] complete when the run reaches t —
     // mirror of the single-threaded end-of-run sample (Stop() carve-out
     // documented in DESIGN.md §12).
-    sim_.pulse().SampleBefore(t + 1);
+    sim_.pulse().SampleBefore(SaturatingAdd(t, 1));
   }
   Time max_now = sim_.main_shard_.now;
   for (const auto& w : workers_) max_now = std::max(max_now, w->shard.now);

@@ -206,11 +206,11 @@ void Simulator::RunUntil(Time t) {
     // Boundaries in (last event, t] complete when the run reaches t. A
     // Stop() skips this (DESIGN.md §12: the final partial window is
     // engine-dependent, so fingerprints use fixed horizons without Stop).
-    pulse_.SampleBefore(t + 1);
+    pulse_.SampleBefore(SaturatingAdd(t, 1));
   }
 }
 
-void Simulator::Run(Time duration) { RunUntil(now() + duration); }
+void Simulator::Run(Time duration) { RunUntil(SaturatingAdd(now(), duration)); }
 
 std::uint64_t Simulator::delta_count() const {
   std::uint64_t n = main_shard_.delta_count;

@@ -16,6 +16,11 @@ using Time = std::uint64_t;
 /// Sentinel for "no scheduled time".
 inline constexpr Time kTimeNever = ~static_cast<Time>(0);
 
+/// t + d, saturating at kTimeNever: a horizon past the end of time is never.
+constexpr Time SaturatingAdd(Time t, Time d) {
+  return d >= kTimeNever - t ? kTimeNever : t + d;
+}
+
 namespace literals {
 
 constexpr Time operator""_ps(unsigned long long v) { return static_cast<Time>(v); }

@@ -128,6 +128,17 @@ TEST(ChaosCampaign, SignalAccurateSocAbsorbsLatencyFaults) {
   // skipped with a warning per clock instead of hanging the run.
   chaos::CampaignHooks hooks;
   hooks.pre_elaborate = [](Simulator& sim) { sim.set_mode(SimMode::kSignalAccurate); };
+  // Exact outcome per seed, [gals][seed - 1]: every channel rolls its stall
+  // mask once per cycle, so how often the channel methods run cannot move
+  // either number.
+  struct Outcome {
+    std::uint64_t cycles;
+    std::uint64_t channel_stall_cycles;
+  };
+  const Outcome expected[2][3] = {
+      {{6784, 27000}, {6592, 26566}, {6784, 27109}},
+      {{7487, 37209}, {7685, 38413}, {7487, 37378}},
+  };
   for (const bool gals : {false, true}) {
     soc::SocConfig cfg;
     cfg.gals = gals;
@@ -144,6 +155,10 @@ TEST(ChaosCampaign, SignalAccurateSocAbsorbsLatencyFaults) {
       EXPECT_EQ(f.fp.digest, golden.fp.digest) << where;
       EXPECT_GT(f.latency.channel_stall_cycles, 0u) << where;
       EXPECT_GT(f.fp.cycles, golden.fp.cycles) << where;
+      EXPECT_EQ(f.fp.cycles, expected[gals][seed - 1].cycles) << where;
+      EXPECT_EQ(f.latency.channel_stall_cycles,
+                expected[gals][seed - 1].channel_stall_cycles)
+          << where;
       EXPECT_EQ(f.latency.wakeup_deferrals, 0u) << where;
       ASSERT_FALSE(f.warnings.empty()) << where;
       EXPECT_NE(f.warnings[0].find("wakeup deferral on '"), std::string::npos) << where;

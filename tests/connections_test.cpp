@@ -388,6 +388,95 @@ TEST(ChannelStalls, FaultPlanReachesEveryChannel) {
   }
 }
 
+// ---------- signal-accurate evaluation counts ----------
+
+/// Work one signal-accurate channel's methods and the scheduler did over a
+/// window of cycles.
+struct SigWork {
+  std::uint64_t comb = 0;
+  std::uint64_t seq = 0;
+  std::uint64_t deltas = 0;
+};
+
+class SigChannelCounts : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kSettleCycles = 20;
+  static constexpr std::uint64_t kWindowCycles = 100;
+
+  const ProcessBase& Process(const std::string& name) const {
+    for (const auto& p : sim_.processes())
+      if (p->name() == name) return *p;
+    ADD_FAILURE() << "no process " << name;
+    return *sim_.processes().front();
+  }
+
+  /// Settles for kSettleCycles, then counts over the next kWindowCycles.
+  SigWork Measure() {
+    sim_.Run(kSettleCycles * 1_ns);
+    const ProcessBase& comb = Process("top.ch.comb");
+    const ProcessBase& seq = Process("top.ch.seq");
+    const SigWork before{comb.stat_dispatches, seq.stat_dispatches, sim_.delta_count()};
+    stalls_before_ = Stats().full_stall_cycles;
+    transfers_before_ = ch_.transfer_count();
+    sim_.Run(kWindowCycles * 1_ns);
+    return {comb.stat_dispatches - before.comb, seq.stat_dispatches - before.seq,
+            sim_.delta_count() - before.deltas};
+  }
+
+  const ChannelStats& Stats() const { return sim_.stats().channels().at("top.ch"); }
+  std::uint64_t full_stall_cycles() const {
+    return Stats().full_stall_cycles - stalls_before_;
+  }
+  std::uint64_t transfers() const { return ch_.transfer_count() - transfers_before_; }
+
+  /// Configured before any member below elaborates.
+  struct SignalAccurateSim : Simulator {
+    SignalAccurateSim() {
+      set_mode(SimMode::kSignalAccurate);
+      stats().Enable();
+    }
+  };
+
+  SignalAccurateSim sim_;
+  Clock clk_{sim_, "clk", 1_ns};
+  Module top_{sim_, "top"};
+  Buffer<int> ch_{top_, "ch", clk_, 2};
+  std::uint64_t stalls_before_ = 0;
+  std::uint64_t transfers_before_ = 0;
+};
+
+// The combinational method re-evaluates only when an input signal or the
+// queue changes: an idle edge runs the register (seq) and nothing else.
+TEST_F(SigChannelCounts, IdleChannelRunsOnlyTheRegister) {
+  const SigWork w = Measure();
+  EXPECT_EQ(w.comb, 0u);
+  EXPECT_EQ(w.seq, kWindowCycles);
+  EXPECT_EQ(w.deltas, kWindowCycles);
+}
+
+TEST_F(SigChannelCounts, ProducerBlockedOnAFullBufferLeavesCombIdle) {
+  Producer prod(top_, "prod", clk_, 1'000'000);
+  prod.out(ch_);
+  const SigWork w = Measure();
+  EXPECT_EQ(w.comb, 0u);
+  EXPECT_EQ(w.seq, kWindowCycles);
+  // seq still counts a stall cycle at every edge.
+  EXPECT_EQ(full_stall_cycles(), kWindowCycles);
+  EXPECT_EQ(transfers(), 0u);
+}
+
+TEST_F(SigChannelCounts, StreamingChannelReevaluatesEveryCycle) {
+  Producer prod(top_, "prod", clk_, 1'000'000);
+  Consumer cons(top_, "cons", clk_, 1'000'000);
+  prod.out(ch_);
+  cons.in(ch_);
+  const SigWork w = Measure();
+  EXPECT_EQ(w.comb, kWindowCycles);
+  EXPECT_EQ(w.seq, kWindowCycles);
+  EXPECT_EQ(w.deltas, 2 * kWindowCycles);
+  EXPECT_EQ(transfers(), kWindowCycles);
+}
+
 // ---------- packetizer / depacketizer ----------
 
 struct TestMsg {

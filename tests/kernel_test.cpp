@@ -853,6 +853,54 @@ TEST(Simulator, TimeAdvancesExactlyToBoundWhenQueueDrains) {
   EXPECT_EQ(sim.now(), 7000u);
 }
 
+/// Run(kTimeNever) under the original loop (0) and the inline engine (1).
+class RunForever : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(RunForever, RunsUntilStopAfterTimeZero) {
+  // Regression: Run(d) added d to now() unsigned, so Run(kTimeNever) after
+  // time 0 wrapped to a horizon in the past and returned at once.
+  Simulator sim;
+  sim.SetParallelism(GetParam());
+  Clock clk(sim, "clk", 1_ns);
+  Module top(sim, "top");
+  struct B : Module {
+    B(Module& p, Clock& clk) : Module(p, "b") {
+      Method("stop", [&clk] {
+        if (clk.cycle() == 50) Simulator::Current().Stop();
+      }).SensitiveTo(clk);
+    }
+  } b(top, clk);
+  sim.Run(5_ns);
+  EXPECT_EQ(sim.now(), 5000u);
+  sim.Run(kTimeNever);
+  EXPECT_TRUE(sim.stopped());
+  EXPECT_EQ(clk.cycle(), 50u);
+  EXPECT_EQ(sim.now(), 50000u);
+}
+
+TEST_P(RunForever, DrainedRunSamplesThePulseWindowOfItsLastEvent) {
+  // A run that reaches its horizon samples every pulse boundary up to it;
+  // at kTimeNever the limit wrapped to 0 and the window holding the last
+  // event (boundary 30 ns) was never sampled.
+  Simulator sim;
+  sim.SetParallelism(GetParam());
+  PulseConfig cfg;
+  cfg.period_ps = 10_ns;
+  cfg.capacity = 4;
+  sim.pulse().Enable(cfg);
+  bool fired = false;
+  sim.ScheduleAt(25_ns, [&] { fired = true; });
+  sim.Run(kTimeNever);
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(sim.now(), kTimeNever);
+  EXPECT_GE(sim.pulse().windows_total(), 3u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothLoops, RunForever, ::testing::Values(0u, 1u),
+                         [](const ::testing::TestParamInfo<unsigned>& info) {
+                           return info.param == 0 ? "OriginalLoop" : "InlineEngine";
+                         });
+
 TEST(Module, HierarchicalNames) {
   Simulator sim;
   Module root(sim, "soc");

@@ -3,7 +3,15 @@
 // SoC-level workloads.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <string>
+#include <string_view>
+
+#include "cover/cover.hpp"
+#include "kernel/stats.hpp"
 #include "soc/workloads.hpp"
+#include "trace/trace.hpp"
 
 namespace craft::soc {
 namespace {
@@ -178,6 +186,112 @@ TEST(SocRtlCosim, EmulationPreservesResultsAndKeepsCycleErrorSmall) {
   // emulation actually runs.
   const std::uint64_t heavy = run(true, 300);
   EXPECT_GT(heavy, fast);
+}
+
+// ---------- signal-accurate SoC: instrumented outputs ----------
+
+/// FNV-1a, 64 bit: a fingerprint for documents too large to pin inline.
+std::uint64_t Fnv1a(std::string_view s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// What one instrumented run leaves behind, minus the dispatch counts.
+struct InstrumentedRun {
+  std::uint64_t cycles = 0;
+  std::uint64_t stats_hash = 0;  ///< the channels, crossings and fifos sections
+  std::size_t trace_bytes = 0;
+  std::uint64_t trace_hash = 0;
+  std::uint64_t bins_hit = 0;
+  bool operator==(const InstrumentedRun&) const = default;
+};
+
+void PrintTo(const InstrumentedRun& r, std::ostream* os) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "{%" PRIu64 ", 0x%016" PRIx64 "ull, %zu, 0x%016" PRIx64 "ull, %" PRIu64 "}",
+                r.cycles, r.stats_hash, r.trace_bytes, r.trace_hash, r.bins_hit);
+  *os << buf;
+}
+
+InstrumentedRun RunInstrumented(const Workload& w, bool gals) {
+  Simulator sim;
+  sim.set_mode(SimMode::kSignalAccurate);
+  sim.stats().Enable();
+  sim.trace_events().Enable();
+  sim.cover().Enable();
+  SocConfig cfg = SingleClock2x2();
+  cfg.gals = gals;
+  SocTop soc(sim, cfg);
+  const WorkloadRun run = RunWorkload(soc, w, 50_ms);
+  EXPECT_TRUE(run.ok) << run.name << ": " << run.error;
+  InstrumentedRun r;
+  r.cycles = run.cycles;
+  // The "sim" and "processes" sections hold dispatch counts, which are a
+  // property of the kernel's evaluation order, not of the design.
+  const std::string stats_json = stats::FormatJson(sim);
+  const std::size_t begin = stats_json.find("\"channels\":");
+  const std::size_t end = stats_json.find("\"processes\":");
+  EXPECT_LT(begin, end);
+  r.stats_hash = Fnv1a(std::string_view(stats_json).substr(begin, end - begin));
+  const std::string trace_json = trace::FormatChromeJson(sim);
+  r.trace_bytes = trace_json.size();
+  r.trace_hash = Fnv1a(trace_json);
+  cover::Database db;
+  cover::RunInfo info;
+  info.design = "soc_2x2:" + w.name;
+  info.id = cover::MakeRunId(info.design, 0, 1);
+  info.horizon_ps = sim.now();
+  cover::Collect(sim, info, &db);
+  r.bins_hit = cover::Summarize(db).bins_hit;
+  return r;
+}
+
+TEST(SocSignalAccurate, InstrumentedOutputsArePinned) {
+  // The signal-accurate model is the golden reference: every observable
+  // output of an instrumented run (cycles, channel/crossing/FIFO counters,
+  // the whole Chrome trace, cover bins) is pinned per workload, so a change
+  // to how often its methods are evaluated cannot move any of them.
+  struct Pin {
+    const char* workload;
+    InstrumentedRun single_clock;
+    InstrumentedRun gals;
+  };
+  // {cycles, stats hash, trace bytes, trace hash, cover bins hit}
+  const Pin pins[] = {
+      {"vecmul",
+       {6336, 0xf8a2da68128bc986ull, 1941263, 0xeec9ef88664409c3ull, 330},
+       {7028, 0x096b321525e9ffbcull, 2906949, 0x79521645c563bec2ull, 472}},
+      {"dot",
+       {6208, 0x51c5f5fce5799f72ull, 1793615, 0x1dbaa36e4257ffadull, 331},
+       {6962, 0xf52a038c26802477ull, 2721608, 0x5aa91b1f0889c500ull, 469}},
+      {"reduce",
+       {3968, 0xd03b38a52afbfcf8ull, 991857, 0xe6f9a03d06ae5917ull, 328},
+       {4402, 0xc540bf1ff28e4769ull, 1499090, 0x4c93bdaa195a6512ull, 468}},
+      {"conv1d",
+       {5120, 0x5769a1a6e1b0b5d7ull, 1206695, 0x5a5aa065f52a2e15ull, 327},
+       {5781, 0x98582b4c0b9b3dd8ull, 1844892, 0xcc1707cacee633aeull, 468}},
+      {"kmeans",
+       {5376, 0xf4bf0cedc860c58eull, 1285249, 0xcfa19b9325d9d9faull, 328},
+       {6044, 0x1b584079bbc09703ull, 1955668, 0xa79f053d251d752aull, 468}},
+      {"dma_copy",
+       {4864, 0x5ad08666b7ae967dull, 2132488, 0xf71d41a6a0224781ull, 330},
+       {5256, 0xcbd7e85f2cd96e4eull, 3213332, 0x6c13b6252927c79dull, 471}},
+      {"conv2d",
+       {29888, 0x4b518e0a2a9c3b2bull, 4693126, 0x36ba11dc23273ed1ull, 331},
+       {33762, 0xc9d4bb8bc50ec58cull, 7040151, 0x186530a90d7c2d14ull, 470}},
+  };
+  const std::vector<Workload> all = AllWorkloads();
+  ASSERT_EQ(all.size(), std::size(pins));
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    ASSERT_EQ(all[i].name, pins[i].workload);
+    EXPECT_EQ(RunInstrumented(all[i], false), pins[i].single_clock) << all[i].name;
+    EXPECT_EQ(RunInstrumented(all[i], true), pins[i].gals) << all[i].name;
+  }
 }
 
 }  // namespace
