@@ -173,10 +173,10 @@ class Channel : public Module {
  private:
   // craft-par thread-affinity guard: every channel endpoint belongs to the
   // channel's clock-domain group, so a worker may only touch channels whose
-  // group it owns. The single-threaded scheduler never sets tl_sched_shard,
-  // so the check is vacuous there; under the engine a violation means the
+  // group it owns. One inline worker never sets tl_sched_shard, so the
+  // check is vacuous there; under worker threads a violation means the
   // design routes cross-domain traffic outside any registered crossing — a
-  // data race in parallel mode, flagged instead of silently tolerated.
+  // data race, flagged instead of silently tolerated.
   void CheckAffinity() const {
     CRAFT_ASSERT(
         tl_sched_shard == nullptr ||

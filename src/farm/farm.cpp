@@ -5,6 +5,7 @@
 
 #include <fcntl.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -86,6 +87,11 @@ int RunAttempt(const TrialSpec& trial, double timeout_s, bool* timed_out) {
 
 }  // namespace
 
+unsigned PoolWidth(unsigned jobs, std::size_t trials) {
+  const std::size_t width = std::min<std::size_t>(std::max(jobs, 1u), trials);
+  return std::max(1u, static_cast<unsigned>(width));
+}
+
 std::vector<TrialResult> Run(const std::vector<TrialSpec>& trials,
                              const Policy& policy) {
   std::vector<TrialResult> results(trials.size());
@@ -146,9 +152,9 @@ std::vector<TrialResult> Run(const std::vector<TrialSpec>& trials,
     }
   };
 
-  const unsigned jobs = policy.jobs == 0 ? 1 : policy.jobs;
+  const unsigned width = PoolWidth(policy.jobs, trials.size());
   std::vector<std::thread> pool;
-  for (unsigned j = 0; j + 1 < jobs; ++j) pool.emplace_back(worker);
+  for (unsigned j = 0; j + 1 < width; ++j) pool.emplace_back(worker);
   worker();
   for (std::thread& th : pool) th.join();
   return results;

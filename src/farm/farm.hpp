@@ -14,6 +14,7 @@
 // manifest section.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -54,6 +55,11 @@ struct TrialResult {
   bool timed_out = false; ///< any attempt hit the wall-clock limit
   double duration_s = 0.0;
 };
+
+/// Worker count of a pool running `trials` trials at `jobs` (0 counts as
+/// 1): never more workers than trials, so a huge --jobs starts no idle
+/// threads. At least 1.
+unsigned PoolWidth(unsigned jobs, std::size_t trials);
 
 /// Runs every trial under `policy`; returns results indexed like `trials`
 /// regardless of completion order. A timed-out attempt's process group is

@@ -10,7 +10,7 @@ Clock::Clock(Simulator& sim, std::string name, Time period, Time first_edge)
   sim_.RegisterClock(*this);
   chaos_ = sim_.chaos().RegisterClock(name_);
   const Time t0 = (first_edge == kTimeNever) ? sim_.now() + period_ : first_edge;
-  sim_.ScheduleAt(t0, [this] { Edge(); }, /*affinity=*/this);
+  sim_.ScheduleAt(t0, [this] { Edge(); }, this);
 }
 
 void Clock::AttachMethod(MethodProcess& m) { methods_.push_back(&m); }
@@ -48,7 +48,7 @@ void Clock::Edge() {
   waiters_.resize(deferred);
   // Trigger statically sensitive methods.
   for (ProcessBase* m : methods_) sim_.MakeRunnable(*m);
-  sim_.ScheduleAt(sim_.now() + NextPeriod(), [this] { Edge(); }, /*affinity=*/this);
+  sim_.ScheduleAt(sim_.now() + NextPeriod(), [this] { Edge(); }, this);
 }
 
 }  // namespace craft

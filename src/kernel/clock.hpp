@@ -52,8 +52,8 @@ class Clock {
   void AttachMethod(MethodProcess& m);
 
   /// craft-par: the clock-domain group this clock was assigned to by the
-  /// engine's partitioner (0 under the original scheduler). Edge callbacks
-  /// stamp it into tl_sched_group so trace span allocation stays grouped.
+  /// engine's partitioner at the first Run (0 before). Edge callbacks stamp
+  /// it into tl_sched_group so trace span allocation stays grouped.
   unsigned par_group() const { return par_group_; }
   void set_par_group(unsigned g) { par_group_ = g; }
 

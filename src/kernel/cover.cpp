@@ -8,7 +8,7 @@ namespace craft {
 
 void CoverRegistry::Enable(const CoverConfig& cfg) {
   CRAFT_ASSERT(sim_ != nullptr, "CoverRegistry is not attached to a Simulator");
-  CRAFT_ASSERT(!sim_->started_,
+  CRAFT_ASSERT(!sim_->started(),
                "sim.cover().Enable() must run before the first Run()");
   CRAFT_ASSERT(channels_.empty() && packetizers_.empty(),
                "sim.cover().Enable() must run before elaborating the design");

@@ -149,6 +149,9 @@ class DesignGraph {
 
   /// All live ports, sorted by registration id (deterministic).
   std::vector<PortNode> ports() const;
+  /// The same ports unordered and uncopied, for passes whose result does
+  /// not depend on the order.
+  const std::unordered_map<const void*, PortNode>& port_map() const { return ports_; }
 
   /// Nearest enclosing domain scope of `path`, or nullptr.
   const DomainScope* ScopeOf(const std::string& path) const;

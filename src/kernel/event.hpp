@@ -46,7 +46,7 @@ class Event {
   /// check regardless of wall-clock interleaving. The MakeRunnable wake
   /// assert alone cannot give that guarantee: if the notify races ahead of
   /// the wait registration, the waiter list is simply empty and the race
-  /// goes unnoticed. No-op under the single-threaded scheduler.
+  /// goes unnoticed. No-op for one inline worker.
   void CheckShard() {
     SchedShard* cur = tl_sched_shard;
     if (cur == nullptr) return;

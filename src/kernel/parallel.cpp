@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <unordered_map>
 #include <utility>
 
 #include "kernel/clock.hpp"
@@ -49,11 +50,11 @@ class Dsu {
 Engine::Engine(Simulator& sim, unsigned requested) : sim_(sim) {
   measure_windows_ = sim.pulse().enabled();
   Partition(requested);
-  if (workers_.size() > 1) StartThreads();
+  if (threaded()) StartThreads();
 }
 
 Engine::~Engine() {
-  if (workers_.size() > 1) {
+  if (threaded()) {
     quit_.store(true, std::memory_order_release);
     epoch_.fetch_add(1, std::memory_order_release);
     epoch_.notify_all();
@@ -112,22 +113,23 @@ void Engine::Partition(unsigned requested) {
   //    the channel's commit hook (on its clock) wakes the owner's blocked
   //    threads. Walk the attributed owner up to the nearest module that
   //    actually runs threads (owner attribution is ancestor-or-self exact).
-  for (const auto& port : graph.ports()) {
+  //    Unions commute, so the unordered port map serves.
+  for (const auto& [key, port] : graph.port_map()) {
     if (port.channel.empty()) continue;
     const auto ch = graph.channels().find(port.channel);
     if (ch == graph.channels().end() || ch->second.clock == nullptr) continue;
     const std::size_t* ch_idx = index_of(ch->second.clock);
     if (ch_idx == nullptr) continue;
-    std::string owner = port.owner;
+    const std::string* owner = &port.owner;
     const DesignGraph::ModuleNode* mod = nullptr;
-    while (!owner.empty()) {
-      const auto it = graph.modules().find(owner);
+    while (!owner->empty()) {
+      const auto it = graph.modules().find(*owner);
       if (it == graph.modules().end()) break;
       if (!it->second.thread_clocks.empty()) {
         mod = &it->second;
         break;
       }
-      owner = it->second.parent;
+      owner = &it->second.parent;
     }
     if (mod == nullptr || under_cut(mod->name)) continue;
     for (const void* clk : mod->thread_clocks) {
@@ -163,18 +165,14 @@ void Engine::Partition(unsigned requested) {
   num_groups_ = 0;
   if (single_group_forced_ || clocks.empty()) {
     num_groups_ = 1;
-    for (Clock* c : clocks) {
-      clock_group_[c] = 0;
-      c->set_par_group(0);
-    }
+    for (Clock* c : clocks) c->set_par_group(0);
   } else {
-    std::unordered_map<std::size_t, unsigned> root_group;
+    constexpr unsigned kUnseen = ~0u;
+    std::vector<unsigned> root_group(clocks.size(), kUnseen);
     for (std::size_t i = 0; i < clocks.size(); ++i) {
-      const std::size_t root = dsu.Find(i);
-      auto [it, fresh] = root_group.emplace(root, num_groups_);
-      if (fresh) ++num_groups_;
-      clock_group_[clocks[i]] = it->second;
-      clocks[i]->set_par_group(it->second);
+      unsigned& g = root_group[dsu.Find(i)];
+      if (g == kUnseen) g = num_groups_++;
+      clocks[i]->set_par_group(g);
     }
   }
 
@@ -189,27 +187,28 @@ void Engine::Partition(unsigned requested) {
   for (const auto& p : sim_.processes()) {
     unsigned g = 0;
     if (const auto* t = dynamic_cast<const ThreadProcess*>(p.get())) {
-      const auto it = clock_group_.find(&t->clock());
-      if (it != clock_group_.end()) g = it->second;
+      g = t->clock().par_group();
     } else if (const auto* m = dynamic_cast<const MethodProcess*>(p.get())) {
-      if (!m->affinity_clocks().empty()) {
-        const auto it = clock_group_.find(m->affinity_clocks().front());
-        if (it != clock_group_.end()) g = it->second;
-      }
+      if (!m->affinity_clocks().empty()) g = m->affinity_clocks().front()->par_group();
     }
     p->par_group = g;
     ++group_load[g];
   }
 
+  if (sim_.trace_events().enabled()) sim_.trace_events().SetGroupCount(num_groups_);
+
+  const unsigned n_workers = std::max(1u, std::min(requested, num_groups_));
+  workers_.reserve(n_workers);
+  for (unsigned i = 0; i < n_workers; ++i) workers_.push_back(std::make_unique<Worker>());
+  if (n_workers == 1) {
+    // One worker runs inline on the main shard, where everything queued so
+    // far already waits: no routing table, nothing to redistribute.
+    workers_[0]->shard = &sim_.main_shard_;
+    return;
+  }
+
   // Greedy least-loaded assignment of groups to workers, heaviest group
   // first (process count is the best static load proxy available).
-  const unsigned n_workers =
-      std::max(1u, std::min(requested, num_groups_));
-  workers_.reserve(n_workers);
-  for (unsigned i = 0; i < n_workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-    workers_.back()->index = i;
-  }
   std::vector<unsigned> order(num_groups_);
   for (unsigned g = 0; g < num_groups_; ++g) order[g] = g;
   std::sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
@@ -224,17 +223,13 @@ void Engine::Partition(unsigned requested) {
       if (worker_load[w] < worker_load[best]) best = w;
     }
     worker_load[best] += group_load[g];
-    workers_[best]->groups.push_back(g);
-    sim_.group_shards_[g] = &workers_[best]->shard;
+    sim_.group_shards_[g] = &workers_[best]->owned;
   }
 
-  for (auto& w : workers_) w->shard.now = sim_.main_shard_.now;
-
-  if (sim_.trace_events().enabled()) {
-    sim_.trace_events().SetSharded(num_groups_, n_workers);
+  for (auto& w : workers_) {
+    w->shard = &w->owned;
+    w->shard->now = sim_.main_shard_.now;
   }
-
-  Redistribute();
 }
 
 void Engine::Redistribute() {
@@ -260,16 +255,14 @@ void Engine::Redistribute() {
   }
 
   // Timed entries drain in (t, seq) order and are re-sequenced per target
-  // shard, preserving each shard's relative firing order. Routing key is
-  // the scheduling affinity (Clocks pass themselves); anonymous entries
-  // (delayed notifications issued from the main thread) go to group 0.
+  // shard, preserving each shard's relative firing order. Clock edges go to
+  // their clock's group; anonymous entries (delayed notifications issued
+  // from the main thread) go to group 0.
   while (!main.timed.empty()) {
-    TimedEntry e{main.timed.top().t, 0, main.timed.top().affinity,
+    TimedEntry e{main.timed.top().t, 0, main.timed.top().clock,
                  std::move(const_cast<TimedEntry&>(main.timed.top()).fn)};
     main.timed.pop();
-    unsigned g = 0;
-    const auto it = clock_group_.find(e.affinity);
-    if (it != clock_group_.end()) g = it->second;
+    const unsigned g = e.clock != nullptr ? e.clock->par_group() : 0;
     SchedShard& target = *sim_.group_shards_[g];
     e.seq = target.seq++;
     target.timed.push(std::move(e));
@@ -279,7 +272,12 @@ void Engine::Redistribute() {
 void Engine::StartThreads() {
   for (auto& w : workers_) {
     Worker* wp = w.get();
-    wp->thread = std::thread([this, wp] { WorkerLoop(*wp); });
+    wp->thread = std::thread([this, wp] {
+      // The shard the affinity checks compare against. One inline worker
+      // never installs one, so on the main thread they stay vacuous.
+      tl_sched_shard = wp->shard;
+      WorkerLoop(*wp);
+    });
   }
 }
 
@@ -290,10 +288,8 @@ Time Engine::NextEventTime(const SchedShard& s) {
 }
 
 void Engine::RunWindow(Worker& w) {
-  SchedShard& s = w.shard;
+  SchedShard& s = *w.shard;
   const std::uint64_t t0 = measure_windows_ ? NowNs() : 0;
-  tl_sched_shard = &s;
-  TraceEventSink::set_worker_slot(static_cast<int>(w.index));
   try {
     sim_.SettleDeltas(s);
     while (!s.local_stop && !s.timed.empty() && s.timed.top().t <= horizon_) {
@@ -303,8 +299,6 @@ void Engine::RunWindow(Worker& w) {
   } catch (...) {
     w.error = std::current_exception();
   }
-  TraceEventSink::set_worker_slot(-1);
-  tl_sched_shard = nullptr;
   if (measure_windows_) w.busy_ns += NowNs() - t0;
 }
 
@@ -325,34 +319,33 @@ void Engine::WorkerLoop(Worker& w) {
 }
 
 void Engine::RunUntil(Time t) {
-  Redistribute();
-  for (auto& w : workers_) w->shard.local_stop = false;
-  const bool threaded = workers_.size() > 1;
+  if (threaded()) Redistribute();
+  for (auto& w : workers_) w->shard->local_stop = false;
 
   while (!sim_.stopped()) {
     Time m = kTimeNever;
-    for (const auto& w : workers_) m = std::min(m, NextEventTime(w->shard));
+    for (const auto& w : workers_) m = std::min(m, NextEventTime(*w->shard));
     if (m == kTimeNever || m > t) break;
     // craft-pulse: every shard has fired everything below m, so boundaries
     // strictly before m are complete — sample them here, at a point where
     // the previous window's barrier ordered all counter writes.
     sim_.pulse().SampleBefore(m);
-    // Conservative window [m, h]: nothing published at >= m can be observed
-    // before m + lookahead, so every event at <= h is safe to fire without
-    // cross-worker synchronization. No crossings at all means the groups
-    // are fully independent (anything that couples domains either merged
-    // them during partitioning or faults in MakeRunnable), so the whole
-    // run is one window.
-    horizon_ = (lookahead_ == kTimeNever || lookahead_ - 1 >= t - m)
+    // Window [m, h]. One worker has no other worker to race with, so only
+    // t bounds it. Worker threads get a conservative window: nothing
+    // published at >= m can be observed before m + lookahead, so every
+    // event at <= h is safe to fire without cross-worker synchronization.
+    // No crossings at all means the groups are fully independent (anything
+    // that couples domains either merged them during partitioning or
+    // faults in MakeRunnable), so the whole run is one window.
+    horizon_ = (!threaded() || lookahead_ == kTimeNever || lookahead_ - 1 >= t - m)
                    ? t
                    : m + lookahead_ - 1;
     // ... clamped to the next pulse boundary B (>= m after the sample
-    // above): windows never straddle a boundary, so at the barrier after
-    // this window exactly the events at <= B have fired — the same sample
-    // semantics as the single-threaded scheduler, for any worker count.
+    // above): windows never straddle a boundary, so after this window
+    // exactly the events at <= B have fired, for any worker count.
     horizon_ = std::min(horizon_, sim_.pulse().next_boundary());
     const std::uint64_t w0 = measure_windows_ ? NowNs() : 0;
-    if (!threaded) {
+    if (!threaded()) {
       RunWindow(*workers_[0]);
     } else {
       epoch_.fetch_add(1, std::memory_order_release);
@@ -372,7 +365,6 @@ void Engine::RunUntil(Time t) {
       if (w->error != nullptr) {
         std::exception_ptr e = w->error;
         w->error = nullptr;
-        if (sim_.trace_events().enabled()) sim_.trace_events().MergeShards();
         std::rethrow_exception(e);
       }
     }
@@ -380,34 +372,35 @@ void Engine::RunUntil(Time t) {
 
   if (!sim_.stopped()) {
     for (auto& w : workers_) {
-      if (w->shard.now < t) w->shard.now = t;
+      if (w->shard->now < t) w->shard->now = t;
     }
-    // Boundaries in (last event, t] complete when the run reaches t —
-    // mirror of the single-threaded end-of-run sample (Stop() carve-out
-    // documented in DESIGN.md §12).
+    // Boundaries in (last event, t] complete when the run reaches t (Stop()
+    // carve-out documented in DESIGN.md §12).
     sim_.pulse().SampleBefore(SaturatingAdd(t, 1));
   }
   Time max_now = sim_.main_shard_.now;
-  for (const auto& w : workers_) max_now = std::max(max_now, w->shard.now);
+  for (const auto& w : workers_) max_now = std::max(max_now, w->shard->now);
   sim_.main_shard_.now = max_now;
-  if (sim_.trace_events().enabled()) sim_.trace_events().MergeShards();
+  // Trace events recorded between runs (testbench code on the main thread)
+  // belong to group 0, whichever group an inline worker dispatched last.
+  tl_sched_group = 0;
 }
 
 std::uint64_t Engine::TotalDeltaCount() const {
   std::uint64_t n = 0;
-  for (const auto& w : workers_) n += w->shard.delta_count;
+  for (const auto& w : workers_) n += w->shard->delta_count;
   return n;
 }
 
 std::uint64_t Engine::TotalDispatchCount() const {
   std::uint64_t n = 0;
-  for (const auto& w : workers_) n += w->shard.dispatch_count;
+  for (const auto& w : workers_) n += w->shard->dispatch_count;
   return n;
 }
 
 std::uint64_t Engine::TotalTimedFired() const {
   std::uint64_t n = 0;
-  for (const auto& w : workers_) n += w->shard.timed_fired;
+  for (const auto& w : workers_) n += w->shard->timed_fired;
   return n;
 }
 

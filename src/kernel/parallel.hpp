@@ -1,9 +1,13 @@
-// craft-par: the domain-sharded parallel execution engine (DESIGN.md §9).
+// craft-par: the domain-sharded execution engine (DESIGN.md §9), the
+// Simulator's only scheduler loop.
 //
 // The engine partitions the elaborated design into GALS clock-domain groups
 // (connected components of the clock graph, cut only at registered
-// PausibleBisyncFifo crossings), assigns each group to a worker thread, and
-// runs the simulation as a sequence of conservative epoch windows:
+// PausibleBisyncFifo crossings), assigns each group to a worker, and runs
+// the simulation as a sequence of windows, each clamped to the next pulse
+// boundary. One worker (the default, or any design with one group) runs its
+// windows inline on the Simulator's main shard, bounded only by the run's
+// end. Worker threads run conservative epoch windows:
 //
 //   M = min over shards of the next event time
 //   H = min(t, M + lookahead - 1), lookahead = min crossing sync_delay
@@ -23,7 +27,6 @@
 #include <exception>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "kernel/simulator.hpp"
@@ -36,6 +39,8 @@ class Engine {
   /// Partitions the design owned by `sim` and, when more than one group
   /// exists and `requested` > 1, starts the worker threads. Must run after
   /// elaboration (it reads the design graph, clocks and crossings).
+  /// Everything queued on the main shard so far stays there for one worker
+  /// and moves to the owning workers' shards otherwise.
   Engine(Simulator& sim, unsigned requested);
   ~Engine();
 
@@ -43,15 +48,16 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Runs all shards until absolute time `t` (or until Stop()), in
-  /// conservative epoch windows. Called from the main thread only.
+  /// windows. Called from the main thread only.
   void RunUntil(Time t);
 
   unsigned worker_count() const { return static_cast<unsigned>(workers_.size()); }
   unsigned group_count() const { return num_groups_; }
 
-  /// The conservative window width: the minimum synchronizer grace window
-  /// over all registered crossings (kTimeNever = no crossings, so the
-  /// groups are fully independent and the whole run is one window).
+  /// The conservative window width of worker threads: the minimum
+  /// synchronizer grace window over all registered crossings (kTimeNever =
+  /// no crossings, so the groups are fully independent and the whole run
+  /// is one window). One inline worker ignores it.
   Time lookahead() const { return lookahead_; }
 
   /// True when a method process without a declared clock affinity forced
@@ -78,9 +84,10 @@ class Engine {
 
  private:
   struct Worker {
-    SchedShard shard;
-    std::vector<unsigned> groups;  // group ids this worker owns
-    unsigned index = 0;
+    /// The shard this worker runs: the Simulator's main shard for one
+    /// inline worker, `owned` for a worker thread.
+    SchedShard* shard = nullptr;
+    SchedShard owned;
     /// Busy wall-clock inside RunWindow, ns. Written by the owning worker
     /// mid-window, read by the coordinator at barriers only.
     std::uint64_t busy_ns = 0;
@@ -90,18 +97,18 @@ class Engine {
 
   void Partition(unsigned requested);
   /// Moves work queued on the main shard (elaboration, between runs) onto
-  /// the owning workers' shards. Main-thread only, workers quiescent.
+  /// the owning worker threads' shards. Main-thread only, workers quiescent.
   void Redistribute();
   void StartThreads();
   void WorkerLoop(Worker& w);
-  /// One conservative window on `w`'s shard: settle, then fire timesteps
-  /// up to horizon_. Runs on the worker's thread (or inline when W == 1).
+  /// One window on `w`'s shard: settle, then fire timesteps up to
+  /// horizon_. Runs on the worker's thread (or inline for one worker).
   void RunWindow(Worker& w);
+  bool threaded() const { return workers_.size() > 1; }
   static Time NextEventTime(const SchedShard& s);
 
   Simulator& sim_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::unordered_map<const void*, unsigned> clock_group_;
   unsigned num_groups_ = 1;
   Time lookahead_ = kTimeNever;
   bool single_group_forced_ = false;

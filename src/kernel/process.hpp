@@ -48,9 +48,9 @@ class ProcessBase {
   bool queued = false;  // managed by Simulator::MakeRunnable
 
   /// craft-par: the GALS clock-domain group this process belongs to,
-  /// assigned by the engine's partitioner before the first parallel Run.
-  /// Routes MakeRunnable to the owning worker's shard; 0 (the only group)
-  /// under the original scheduler.
+  /// assigned by the engine's partitioner at the first Run. Routes
+  /// MakeRunnable to the owning worker thread's shard and selects the trace
+  /// sink's group.
   unsigned par_group = 0;
 
   // craft-stats profiling slots, written by the scheduler's dispatch loop

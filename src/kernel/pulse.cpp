@@ -12,7 +12,7 @@ namespace craft {
 
 void PulseRegistry::Enable(const PulseConfig& cfg) {
   CRAFT_ASSERT(sim_ != nullptr, "PulseRegistry is not attached to a Simulator");
-  CRAFT_ASSERT(!sim_->started_,
+  CRAFT_ASSERT(!sim_->started(),
                "sim.pulse().Enable() must run before the first Run()");
   CRAFT_ASSERT(cfg.period_ps > 0, "pulse period must be positive");
   CRAFT_ASSERT(cfg.capacity > 0, "pulse ring capacity must be positive");

@@ -16,18 +16,16 @@
 //
 // Determinism (DESIGN.md §12): windows are sampled at exact period
 // boundaries B = k * period with the semantics "every event at t <= B has
-// fired, nothing after B has". The single-threaded scheduler samples before
-// firing the first timestep past a boundary; the parallel engine clamps its
-// conservative epoch horizon to the next boundary and samples between
-// windows — both observe identical counter values at identical boundaries,
-// so the n-invariant subset of the series (channels, crossings, FIFOs,
+// fired, nothing after B has". The engine clamps every window to the next
+// boundary and samples between windows, so every worker count observes
+// identical counter values at identical boundaries, and the n-invariant subset of the series (channels, crossings, FIFOs,
 // kernel commits/stalls, watchdog alerts) is fingerprint-identical for every
 // SetParallelism(n). n-variant fields (per-worker utilization, kernel
 // delta/dispatch load, per-process dispatch series) are exported under
 // *_n_variant keys and excluded from fingerprints, like DESIGN.md §9's
 // delta-count carve-out. One documented edge: a Stop() that lands mid-window
-// may or may not leave time past the final boundary depending on the engine,
-// so fingerprint comparisons use fixed horizons without Stop (§11 has the
+// may or may not leave time past the final boundary depending on the worker
+// count, so fingerprint comparisons use fixed horizons without Stop (§11 has the
 // same carve-out for chaos event totals).
 #pragma once
 
@@ -175,8 +173,8 @@ struct PulseFifoSeries {
   PulseSeries high_water;  ///< cumulative high-water (monotone)
 };
 
-/// Per-process dispatch series. Delta batching differs between engines
-/// (DESIGN.md §9), so this whole family is n-variant and excluded from
+/// Per-process dispatch series. Delta batching differs between worker
+/// counts (DESIGN.md §9), so this whole family is n-variant and excluded from
 /// fingerprints.
 struct PulseProcessSeries {
   std::uint64_t start_window = 0;
@@ -195,7 +193,7 @@ struct PulseKernelSeries {
   PulseSeries dispatches;
 };
 
-/// Parallel-engine series (empty under the original scheduler): per-worker
+/// Parallel-engine series (empty before the first Run): per-worker
 /// busy wall-clock and the coordinator's dispatch+barrier wall-clock. Wall
 /// time is host noise by definition — n-variant, excluded from fingerprints.
 struct PulseEngineSeries {
@@ -232,7 +230,7 @@ class PulseRegistry {
   }
 
   /// Next unsampled period boundary (kTimeNever while disabled). The
-  /// parallel engine clamps its epoch horizon to this so boundaries always
+  /// engine clamps its window horizon to this so boundaries always
   /// coincide with barrier-synchronized points.
   Time next_boundary() const { return next_boundary_; }
 

@@ -127,7 +127,7 @@ constexpr const char kUsage[] =
     "  --period PS         sampling period in picoseconds (default 1000000)\n"
     "  --windows N         run for N whole windows (default 50)\n"
     "  --capacity N        series ring capacity (default 512)\n"
-    "  --parallelism N     run under craft-par with N workers (0 = legacy)\n"
+    "  --parallelism N     craft-par worker count, N >= 1 (default 1)\n"
     "  --progress-windows N arm the progress watchdog (default: off)\n"
     "  --chaos             inject a seeded latency stall storm; the run\n"
     "                      then MUST trip the throughput watchdog\n"
@@ -268,6 +268,14 @@ int main(int argc, char** argv) {
   if (opt.period_ps == 0 || opt.windows == 0 || opt.capacity == 0) {
     std::fprintf(stderr, "craft_pulse: --period/--windows/--capacity must be positive\n");
     return 2;
+  }
+  if (opt.parallelism_set && opt.parallelism == 0) {
+    return cli::ExitCode(p.UsageError("--parallelism must be >= 1"));
+  }
+  // The run's horizon is period x windows; a product past 2^64 - 1 would
+  // wrap to a short (or zero) run that still reports success.
+  if (opt.windows > kTimeNever / opt.period_ps) {
+    return cli::ExitCode(p.UsageError("--period x --windows overflows the 64-bit ps horizon"));
   }
 
   // Resolve the design. SoC reference designs rebuild from their SocConfig

@@ -54,8 +54,7 @@ std::string FormatTimelineJson(const Simulator& sim) {
   os << "  \"capacity\": " << reg.config().capacity << ",\n";
   os << "  \"windows_total\": " << reg.windows_total() << ",\n";
   os << "  \"windows_dropped_idle\": " << reg.windows_dropped_idle() << ",\n";
-  os << "  \"parallel\": {\"workers\": " << sim.parallelism() << ", \"engine\": "
-     << (sim.parallel_engine_selected() ? "true" : "false") << "},\n";
+  os << "  \"parallel\": {\"workers\": " << sim.parallelism() << "},\n";
 
   os << "  \"windows\": [";
   const PulseWindowRing& wr = reg.windows();

@@ -118,10 +118,13 @@ std::size_t DocumentBound(const TraceEventSink& sink,
     bytes += 2 * (kEventBytes + x.head.size()) + x.args.size();
     bytes += t->resident_spans().size() * (kEventBytes + x.head.size() + ts_bytes);
   }
-  for (const TraceEvent& e : sink.events()) {
-    const TrackText& x = text[e.track];
-    bytes += kEventBytes + x.head.size() + ts_bytes;
-    if (e.kind == TraceEventKind::kBegin) bytes += x.args.size() + kBeginArgBytes;
+  // A sum needs no order: walk the groups' vectors as they are.
+  for (std::size_t g = 0; g < sink.group_count(); ++g) {
+    for (const TraceEvent& e : sink.group_events(g)) {
+      const TrackText& x = text[e.track];
+      bytes += kEventBytes + x.head.size() + ts_bytes;
+      if (e.kind == TraceEventKind::kBegin) bytes += x.args.size() + kBeginArgBytes;
+    }
   }
   return bytes;
 }
@@ -165,7 +168,7 @@ std::string FormatChromeJson(const Simulator& sim) {
         .Raw("}}");
   }
 
-  for (const TraceEvent& e : sink.events()) {
+  sink.ForEachEvent([&](const TraceEvent& e) {
     const TrackText& x = text[e.track];
     switch (e.kind) {
       case TraceEventKind::kBegin: {
@@ -189,7 +192,7 @@ std::string FormatChromeJson(const Simulator& sim) {
             .Raw(std::string_view(x.head).substr(x.pid_at)).Raw(TsUs(e.ts)).Raw("}");
         break;
     }
-  }
+  });
 
   // Balance the document: a synthesized end for every span still resident
   // somewhere when the simulation stopped (begins dropped by the event cap

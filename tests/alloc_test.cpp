@@ -50,12 +50,11 @@ std::uint64_t AllocsDuring(Simulator& sim, Time window) {
   return g_allocs.load(std::memory_order_relaxed) - before;
 }
 
-// Every test pins the single-threaded scheduler, so a CRAFT_PARALLELISM
-// environment (the TSan job sets 4) does not change what is counted.
+// Every design here has one clock, so the engine runs one worker inline
+// whatever CRAFT_PARALLELISM says (the TSan job sets 4).
 
 TEST(Alloc, ClockOnlyRunAllocatesNothing) {
   Simulator sim;
-  sim.SetParallelism(0);
   Clock clk(sim, "clk", 1_ns);
   sim.Run(kWarmUp);
   EXPECT_EQ(AllocsDuring(sim, kWindow), 0u);
@@ -66,7 +65,6 @@ class AllocPerTransfer : public ::testing::TestWithParam<SimMode> {};
 TEST_P(AllocPerTransfer, BufferTransfersStayUnderOneAllocationInTwenty) {
   std::uint64_t popped = 0;
   Simulator sim;
-  sim.SetParallelism(0);
   sim.set_mode(GetParam());
   Clock clk(sim, "clk", 1_ns);
   Module top(sim, "top");
@@ -100,7 +98,6 @@ TEST_P(AllocPerTransfer, BufferTransfersStayUnderOneAllocationInTwenty) {
 TEST_P(AllocPerTransfer, PacketizerLinkStaysUnderOneAllocationInFourMessages) {
   std::uint64_t received = 0;
   Simulator sim;
-  sim.SetParallelism(0);
   sim.set_mode(GetParam());
   Clock clk(sim, "clk", 1_ns);
   Module top(sim, "top");
@@ -158,7 +155,6 @@ struct ExportAllocs {
 /// inline buffer.
 ExportAllocs AllocsToExportAfter(Time window) {
   Simulator sim;
-  sim.SetParallelism(0);
   sim.trace_events().Enable();
   Clock clk(sim, "clk", 1_ns);
   Module top(sim, "traced_pipeline");
@@ -185,7 +181,7 @@ ExportAllocs AllocsToExportAfter(Time window) {
   const std::string doc = trace::FormatChromeJson(sim);
   r.allocs = g_allocs.load(std::memory_order_relaxed) - before;
   r.tracks = sim.trace_events().tracks().size();
-  r.events = sim.trace_events().events().size();
+  r.events = sim.trace_events().event_count();
   return r;
 }
 

@@ -154,6 +154,16 @@ TEST(FarmRun, PoolOverlapsTrials) {
   EXPECT_LT(secs, 2.0);  // serial would be >= 2.4 s; sleeps overlap in a pool
 }
 
+// The width is computed without starting any thread: a --jobs far above the
+// trial count must not ask the OS for idle threads.
+TEST(FarmRun, PoolWidthCappedAtTrialCount) {
+  EXPECT_EQ(farm::PoolWidth(40000, 3), 3u);
+  EXPECT_EQ(farm::PoolWidth(4, 10), 4u);
+  EXPECT_EQ(farm::PoolWidth(4, 4), 4u);
+  EXPECT_EQ(farm::PoolWidth(0, 5), 1u);
+  EXPECT_EQ(farm::PoolWidth(8, 0), 1u);
+}
+
 TEST(FarmRun, ProgressStreamsOneLinePerAttempt) {
   std::FILE* stream = std::tmpfile();
   ASSERT_NE(stream, nullptr);

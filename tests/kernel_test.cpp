@@ -13,6 +13,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -853,7 +854,7 @@ TEST(Simulator, TimeAdvancesExactlyToBoundWhenQueueDrains) {
   EXPECT_EQ(sim.now(), 7000u);
 }
 
-/// Run(kTimeNever) under the original loop (0) and the inline engine (1).
+/// Run(kTimeNever) on the engine's one inline worker.
 class RunForever : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(RunForever, RunsUntilStopAfterTimeZero) {
@@ -896,10 +897,65 @@ TEST_P(RunForever, DrainedRunSamplesThePulseWindowOfItsLastEvent) {
   EXPECT_GE(sim.pulse().windows_total(), 3u);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothLoops, RunForever, ::testing::Values(0u, 1u),
-                         [](const ::testing::TestParamInfo<unsigned>& info) {
-                           return info.param == 0 ? "OriginalLoop" : "InlineEngine";
+INSTANTIATE_TEST_SUITE_P(BothLoops, RunForever, ::testing::Values(1u),
+                         [](const ::testing::TestParamInfo<unsigned>&) {
+                           return "InlineEngine";
                          });
+
+/// Sets CRAFT_PARALLELISM for one scope, then restores what was there.
+class ScopedParallelismEnv {
+ public:
+  explicit ScopedParallelismEnv(const char* value) {
+    if (const char* old = std::getenv("CRAFT_PARALLELISM")) saved_ = old;
+    ::setenv("CRAFT_PARALLELISM", value, 1);
+  }
+  ~ScopedParallelismEnv() {
+    if (saved_.has_value()) {
+      ::setenv("CRAFT_PARALLELISM", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("CRAFT_PARALLELISM");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+// The Simulators below are only constructed, never run, so no worker
+// thread starts whatever count they read.
+TEST(Simulator, ParallelismEnvAcceptsDecimalWorkerCounts) {
+  for (const auto& [text, n] : {std::pair{"3", 3u}, std::pair{"007", 7u},
+                                std::pair{"4294967295", 4294967295u}}) {
+    ScopedParallelismEnv env(text);
+    Simulator sim;
+    EXPECT_EQ(sim.parallelism(), n) << text;
+  }
+}
+
+TEST(Simulator, ParallelismEnvRejectsAnythingElse) {
+  // Zero, out of range, signed, padded, partial or not a number: each raises
+  // instead of being read as some other worker count.
+  for (const char* bad : {"0", "4294967296", "-1", "2x", "", " 2", "+2", "four"}) {
+    ScopedParallelismEnv env(bad);
+    try {
+      Simulator sim;
+      ADD_FAILURE() << "CRAFT_PARALLELISM='" << bad << "' was accepted";
+    } catch (const SimError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("CRAFT_PARALLELISM='" + std::string(bad) + "'"),
+                std::string::npos)
+          << msg;
+    }
+  }
+  EXPECT_EQ(Simulator::CurrentOrNull(), nullptr);
+}
+
+TEST(Simulator, SetParallelismZeroRaises) {
+  Simulator sim;
+  EXPECT_THROW(sim.SetParallelism(0), SimError);
+  sim.SetParallelism(1);
+  EXPECT_EQ(sim.parallelism(), 1u);
+}
 
 TEST(Module, HierarchicalNames) {
   Simulator sim;

@@ -110,17 +110,15 @@ std::string FilterStatsJson(const std::string& json) {
 
 std::string TraceFingerprint(const Simulator& sim) {
   std::ostringstream os;
-  for (const TraceEvent& e : sim.trace_events().events()) {
+  sim.trace_events().ForEachEvent([&os](const TraceEvent& e) {
     os << e.ts << ":" << e.track << ":" << static_cast<int>(e.kind) << ":"
        << e.span << ":" << e.arg << "\n";
-  }
+  });
   return os.str();
 }
 
 constexpr unsigned kTokens = 200;
 
-/// n == 0 selects the original single-queue scheduler (pinned explicitly so
-/// a CRAFT_PARALLELISM environment override cannot flip it).
 Fingerprint RunChain(unsigned n, std::uint64_t stall_seed) {
   Simulator sim;
   sim.stats().Enable();
@@ -160,18 +158,8 @@ TEST(ParDeterminism, IdenticalAcrossWorkerCountsAndSeeds) {
   }
 }
 
-// The engine must agree with the original scheduler on everything functional
-// (span-id encoding and delta batching legitimately differ).
-TEST(ParDeterminism, EngineMatchesLegacyFunctionally) {
-  const Fingerprint legacy = RunChain(0, 1);
-  const Fingerprint engine = RunChain(4, 1);
-  EXPECT_EQ(engine.checksum, legacy.checksum);
-  EXPECT_EQ(engine.received, legacy.received);
-  EXPECT_EQ(engine.transfers, legacy.transfers);
-}
-
-// A single-clock design has one group: the engine must degrade to one
-// worker and still match the legacy scheduler.
+// A single-clock design has one group: four requested workers must degrade
+// to the one inline worker and match n = 1.
 TEST(ParPartition, SingleClockDesignForcesSingleWorker) {
   auto run = [](unsigned n) {
     Simulator sim;
@@ -195,9 +183,9 @@ TEST(ParPartition, SingleClockDesignForcesSingleWorker) {
     return std::tuple<std::uint64_t, unsigned, unsigned, unsigned>(
         l.sink.checksum, l.sink.received, shape.first, shape.second);
   };
-  const auto legacy = run(0);
+  const auto one = run(1);
   const auto par = run(4);
-  EXPECT_EQ(std::get<0>(par), std::get<0>(legacy));
+  EXPECT_EQ(par, one);
   EXPECT_EQ(std::get<1>(par), 100u);
   EXPECT_EQ(std::get<2>(par), 1u);  // one worker
   EXPECT_EQ(std::get<3>(par), 1u);  // one group
@@ -284,10 +272,10 @@ TEST(ParAffinity, CrossDomainEventWakeFaults) {
   EXPECT_THROW(sim.Run(100_us), SimError);
 }
 
-// Same design, single-threaded scheduler: legal (everything is one shard).
+// Same design, one worker: legal (everything runs inline on one shard).
 TEST(ParAffinity, CrossDomainEventWakeLegalWithoutEngine) {
   Simulator sim;
-  sim.SetParallelism(0);  // pin the legacy scheduler even under CRAFT_PARALLELISM
+  sim.SetParallelism(1);  // pinned even under CRAFT_PARALLELISM
   Clock a(sim, "clk_a", 1000);
   Clock b(sim, "clk_b", 1300);
   Event e(sim);

@@ -265,25 +265,25 @@ TEST(SocSignalAccurate, InstrumentedOutputsArePinned) {
   const Pin pins[] = {
       {"vecmul",
        {6336, 0xf8a2da68128bc986ull, 1941263, 0xeec9ef88664409c3ull, 330},
-       {7028, 0x096b321525e9ffbcull, 2906949, 0x79521645c563bec2ull, 472}},
+       {7028, 0x096b321525e9ffbcull, 3022899, 0x28dca845cc4069e2ull, 472}},
       {"dot",
        {6208, 0x51c5f5fce5799f72ull, 1793615, 0x1dbaa36e4257ffadull, 331},
-       {6962, 0xf52a038c26802477ull, 2721608, 0x5aa91b1f0889c500ull, 469}},
+       {6962, 0xf52a038c26802477ull, 2828202, 0x319a43ca84bbcf5aull, 469}},
       {"reduce",
        {3968, 0xd03b38a52afbfcf8ull, 991857, 0xe6f9a03d06ae5917ull, 328},
-       {4402, 0xc540bf1ff28e4769ull, 1499090, 0x4c93bdaa195a6512ull, 468}},
+       {4402, 0xc540bf1ff28e4769ull, 1560364, 0xd9a56ea19d41d76cull, 468}},
       {"conv1d",
        {5120, 0x5769a1a6e1b0b5d7ull, 1206695, 0x5a5aa065f52a2e15ull, 327},
-       {5781, 0x98582b4c0b9b3dd8ull, 1844892, 0xcc1707cacee633aeull, 468}},
+       {5781, 0x98582b4c0b9b3dd8ull, 1918354, 0x49825c13381526a6ull, 468}},
       {"kmeans",
        {5376, 0xf4bf0cedc860c58eull, 1285249, 0xcfa19b9325d9d9faull, 328},
-       {6044, 0x1b584079bbc09703ull, 1955668, 0xa79f053d251d752aull, 468}},
+       {6044, 0x1b584079bbc09703ull, 2033282, 0x443b14927986cc02ull, 468}},
       {"dma_copy",
        {4864, 0x5ad08666b7ae967dull, 2132488, 0xf71d41a6a0224781ull, 330},
-       {5256, 0xcbd7e85f2cd96e4eull, 3213332, 0x6c13b6252927c79dull, 471}},
+       {5256, 0xcbd7e85f2cd96e4eull, 3343442, 0xb095c070b8f518cfull, 471}},
       {"conv2d",
        {29888, 0x4b518e0a2a9c3b2bull, 4693126, 0x36ba11dc23273ed1ull, 331},
-       {33762, 0xc9d4bb8bc50ec58cull, 7040151, 0x186530a90d7c2d14ull, 470}},
+       {33762, 0xc9d4bb8bc50ec58cull, 7271237, 0xa35e1064041c2f02ull, 470}},
   };
   const std::vector<Workload> all = AllWorkloads();
   ASSERT_EQ(all.size(), std::size(pins));
