@@ -1,9 +1,11 @@
 #include "support/cli.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace craft::cli {
 
@@ -13,6 +15,25 @@ bool WriteFile(const std::string& path, std::string_view text) {
   const bool wrote = std::fwrite(text.data(), 1, text.size(), f) == text.size();
   const bool closed = std::fclose(f) == 0;
   return wrote && closed;
+}
+
+bool EnvParallelism(unsigned* n, std::string* error) {
+  const char* env = std::getenv("CRAFT_PARALLELISM");
+  if (env == nullptr) {
+    *n = 1;
+    return true;
+  }
+  const std::string_view text(env);
+  unsigned v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (text.empty() || ec != std::errc() || end != text.data() + text.size() || v == 0) {
+    *error = "CRAFT_PARALLELISM='" + std::string(text) +
+             "' is not a decimal integer from 1 to " +
+             std::to_string(std::numeric_limits<unsigned>::max());
+    return false;
+  }
+  *n = v;
+  return true;
 }
 
 Parser::Parser(std::string tool, std::string usage)
@@ -262,6 +283,11 @@ Status Parser::Parse(int argc, char** argv) {
 
     std::string error;
     if (!ApplyValue(*s, value, &error)) return UsageError(error);
+  }
+  unsigned workers = 0;
+  if (std::string error; !EnvParallelism(&workers, &error)) {
+    std::fprintf(stderr, "%s: %s\n", tool_.c_str(), error.c_str());
+    return Status::kExitUsage;
   }
   return Status::kContinue;
 }

@@ -48,6 +48,14 @@ inline int ExitCode(Status s) { return s == Status::kExitOk ? 0 : 2; }
 /// Mains print one "cannot write PATH" line and exit 2 on false.
 bool WriteFile(const std::string& path, std::string_view text);
 
+/// Reads CRAFT_PARALLELISM, the worker count of every Simulator that does
+/// not call SetParallelism(): *n = 1 while it is unset. Only a decimal
+/// integer from 1 to UINT_MAX is a count; any other value leaves *n alone
+/// and returns false with a one-line *error naming the variable and value.
+/// Parser::Parse checks it too, so every tool rejects a bad value as a
+/// usage error before it elaborates anything.
+bool EnvParallelism(unsigned* n, std::string* error);
+
 class Parser {
  public:
   /// `usage` is the full usage block (one or more lines, each ending in

@@ -5,8 +5,10 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -335,6 +337,29 @@ TEST(CliParser, HelpAndVersionExitOk) {
   cli::Parser p("t", "usage: t\n");
   EXPECT_EQ(ParseArgs(p, {"--help"}), cli::Status::kExitOk);
   EXPECT_EQ(ParseArgs(p, {"--version"}), cli::Status::kExitOk);
+}
+
+// A tool that would elaborate a design under a malformed CRAFT_PARALLELISM
+// stops at parse time with a usage error instead of a SimError.
+TEST(CliParser, RejectsAMalformedParallelismEnvironment) {
+  std::optional<std::string> saved;
+  if (const char* old = std::getenv("CRAFT_PARALLELISM")) saved = old;
+  cli::Parser p("t", "usage: t\n");
+  unsigned n = 0;
+  std::string error;
+  ::setenv("CRAFT_PARALLELISM", "0", 1);
+  EXPECT_EQ(ParseArgs(p, {}), cli::Status::kExitUsage);
+  EXPECT_EQ(ParseArgs(p, {"--help"}), cli::Status::kExitOk);
+  EXPECT_FALSE(cli::EnvParallelism(&n, &error));
+  EXPECT_EQ(error, "CRAFT_PARALLELISM='0' is not a decimal integer from 1 to 4294967295");
+  ::setenv("CRAFT_PARALLELISM", "3", 1);
+  EXPECT_EQ(ParseArgs(p, {}), cli::Status::kContinue);
+  EXPECT_TRUE(cli::EnvParallelism(&n, &error));
+  EXPECT_EQ(n, 3u);
+  ::unsetenv("CRAFT_PARALLELISM");
+  EXPECT_TRUE(cli::EnvParallelism(&n, &error));
+  EXPECT_EQ(n, 1u);
+  if (saved.has_value()) ::setenv("CRAFT_PARALLELISM", saved->c_str(), 1);
 }
 
 TEST(CliParser, ExitCodeMapping) {
