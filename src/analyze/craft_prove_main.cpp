@@ -25,7 +25,7 @@ constexpr const char kUsage[] =
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace craft;
   bool json = false;
   bool quiet = false;
@@ -79,4 +79,8 @@ int main(int argc, char** argv) {
     }
   }
   return errors > 0 ? 1 : 0;
+} catch (const craft::SimError& e) {
+  // A SimError the run raised is a finding: one line, exit 1 (README "Exit codes").
+  std::fprintf(stderr, "craft_prove: %s\n", e.what());
+  return 1;
 }

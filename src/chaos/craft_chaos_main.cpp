@@ -12,6 +12,7 @@
 
 #include "chaos/campaign.hpp"
 #include "cover/cover.hpp"
+#include "kernel/report.hpp"
 #include "kernel/simulator.hpp"
 #include "support/cli.hpp"
 
@@ -45,7 +46,7 @@ constexpr const char kUsage[] =
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using craft::chaos::CampaignConfig;
   CampaignConfig config;
   bool json = false;
@@ -151,4 +152,8 @@ int main(int argc, char** argv) {
   }
   if (hb_file != nullptr) std::fclose(hb_file);
   return failures > 0 ? 1 : 0;
+} catch (const craft::SimError& e) {
+  // A SimError the run raised is a finding: one line, exit 1 (README "Exit codes").
+  std::fprintf(stderr, "craft_chaos: %s\n", e.what());
+  return 1;
 }

@@ -429,7 +429,11 @@ class Channel : public Module {
     sig_->p_msg.AddSensitive(comb);
     sig_->c_ready.AddSensitive(comb);
     sig_->state_change.AddSensitive(comb);
-    Method("seq", [this] { SigSeq(); }).SensitiveTo(clk_);
+    // The register is dispatched only on the edges where it has work.
+    const EdgeGuard seq_due = [](const void* ch) {
+      return static_cast<const Channel*>(ch)->SigSeqDue();
+    };
+    Method("seq", [this] { SigSeq(); }).SensitiveTo(clk_, seq_due, this);
     if (chaos_ != nullptr) {
       // craft-chaos stalls: retrigger comb at every edge so each cycle's
       // stall mask applies even when no input changed. Comb's first read in
@@ -502,11 +506,23 @@ class Channel : public Module {
     }
   }
 
+  /// seq's edge guard: true on an edge where SigSeq has work, i.e. a
+  /// handshake completes on either side, or the trace track has a stall to
+  /// sample. On any other edge SigSeq would change nothing. It reads only
+  /// committed signals, which nothing can change between the edge and seq's
+  /// dispatch slot (no update phase runs in between).
+  bool SigSeqDue() const {
+    const bool p_valid = sig_->p_valid.read();
+    const bool c_ready = sig_->c_ready.read();
+    return (p_valid && sig_->p_ready.read()) || (c_ready && sig_->c_valid.read()) ||
+           (trace_ != nullptr && (p_valid || c_ready));
+  }
+
   /// Sequential state update at the posedge, sampling committed signals.
-  /// Runs every edge (it is the register, and its stall counters count per
-  /// cycle), but retriggers comb only on an edge that pushed or popped q_:
-  /// comb reads nothing else but its input signals and, on a channel with a
-  /// chaos point, the stall mask, which the edge hook retriggers it for.
+  /// Dispatched only where SigSeqDue() holds, and retriggers comb only on an
+  /// edge that pushed or popped q_: comb reads nothing else but its input
+  /// signals and, on a channel with a chaos point, the stall mask, which the
+  /// edge hook retriggers it for.
   void SigSeq() {
     const bool in_xfer = sig_->p_valid.read() && sig_->p_ready.read();
     const bool out_xfer = sig_->c_valid.read() && sig_->c_ready.read();
@@ -564,12 +580,12 @@ class Channel : public Module {
 
   /// Stats for the signal-accurate edge: enqueue stamps before dequeue pops
   /// so a same-edge (combinational / bypassed) transfer records latency 0.
+  /// Stall cycles are counted by the blocked endpoint (see SigPush), so
+  /// turning stats on never makes seq run on an edge it would skip.
   void SigSeqStats(bool enq, bool deq) {
     if (!stats_) return;
     if (enq) StatEnqueue();
     if (deq) StatDequeue();
-    if (sig_->p_valid.read() && !sig_->p_ready.read()) ++stats_->full_stall_cycles;
-    if (sig_->c_ready.read() && !sig_->c_valid.read()) ++stats_->empty_stall_cycles;
   }
 
   /// Trace for the signal-accurate edge. The sequential method runs outside
@@ -585,6 +601,16 @@ class Channel : public Module {
   }
 
   // Port protocols: the paper's delayed operations (§2.3 code snippet).
+  //
+  // Successful handshakes are counted at the edge by SigSeq; stall cycles
+  // are counted here, by the blocked endpoint. A full-stall cycle is an
+  // edge with p_valid committed high and p_ready low, an empty-stall cycle
+  // one with c_ready high and c_valid low. Contract: the endpoint thread
+  // runs on the channel's clock (true of every design in the tree; chaos
+  // wakeup deferral is off in this mode). Then each edge with p_valid
+  // (c_ready) high is exactly one endpoint check, reading the same
+  // committed p_ready (c_valid) seq sees at that edge, so the counts equal
+  // per-edge sampling one for one.
 
   bool SigPushNB(const T& v) {
     sig_->p_msg.write(v);     // write data bits
@@ -592,16 +618,21 @@ class Channel : public Module {
     wait();                   // one cycle delay
     sig_->p_valid.write(false);  // clear valid bit (delayed operation)
     const bool ok = sig_->p_ready.read();
-    // Successful handshakes are counted at the edge by SigSeq; only the
-    // rejection is visible solely to this endpoint.
-    if (stats_ && !ok) ++stats_->push_rejects;
+    if (stats_ && !ok) {
+      ++stats_->push_rejects;
+      ++stats_->full_stall_cycles;
+    }
     return ok;
   }
 
   void SigPush(const T& v) {
     sig_->p_msg.write(v);
     sig_->p_valid.write(true);
-    this_thread().WaitUntil([this] { return sig_->p_ready.read(); });
+    this_thread().WaitUntil([this] {
+      if (sig_->p_ready.read()) return true;
+      if (stats_) ++stats_->full_stall_cycles;
+      return false;
+    });
     sig_->p_valid.write(false);
   }
 
@@ -613,13 +644,20 @@ class Channel : public Module {
       out = sig_->c_msg.read();
       return true;
     }
-    if (stats_) ++stats_->pop_rejects;
+    if (stats_) {
+      ++stats_->pop_rejects;
+      ++stats_->empty_stall_cycles;
+    }
     return false;
   }
 
   T SigPop() {
     sig_->c_ready.write(true);
-    this_thread().WaitUntil([this] { return sig_->c_valid.read(); });
+    this_thread().WaitUntil([this] {
+      if (sig_->c_valid.read()) return true;
+      if (stats_) ++stats_->empty_stall_cycles;
+      return false;
+    });
     sig_->c_ready.write(false);
     return sig_->c_msg.read();
   }

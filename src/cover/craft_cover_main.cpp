@@ -30,6 +30,7 @@
 
 #include "cover/cover.hpp"
 #include "cover/runner.hpp"
+#include "kernel/report.hpp"
 #include "support/cli.hpp"
 
 namespace {
@@ -225,7 +226,7 @@ int CmdDiff(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
   // Each subcommand gets argv[1] as its argv[0]; the shared parser skips it.
@@ -242,4 +243,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   return Usage();
+} catch (const craft::SimError& e) {
+  // A SimError the run raised is a finding: one line, exit 1 (README "Exit codes").
+  std::fprintf(stderr, "craft_cover: %s\n", e.what());
+  return 1;
 }

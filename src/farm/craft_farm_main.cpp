@@ -28,6 +28,7 @@
 
 #include "cover/cover.hpp"
 #include "farm/farm.hpp"
+#include "kernel/report.hpp"
 #include "support/cli.hpp"
 #include "support/json.hpp"
 
@@ -153,7 +154,7 @@ bool AggregateChaos(const std::string& text, ChaosTotals* t) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   std::vector<std::string> designs;
   std::vector<std::string> seeds_text;
   std::vector<std::string> pars_text;
@@ -510,4 +511,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "craft_farm: manifest -> %s\n", manifest_path.c_str());
   }
   return gated ? 1 : 0;
+} catch (const craft::SimError& e) {
+  // A SimError the run raised is a finding: one line, exit 1 (README "Exit codes").
+  std::fprintf(stderr, "craft_farm: %s\n", e.what());
+  return 1;
 }

@@ -10,10 +10,12 @@ Clock::Clock(Simulator& sim, std::string name, Time period, Time first_edge)
   sim_.RegisterClock(*this);
   chaos_ = sim_.chaos().RegisterClock(name_);
   const Time t0 = (first_edge == kTimeNever) ? sim_.now() + period_ : first_edge;
-  sim_.ScheduleAt(t0, [this] { Edge(); }, this);
+  sim_.ScheduleEdge(*this, t0);
 }
 
-void Clock::AttachMethod(MethodProcess& m) { methods_.push_back(&m); }
+void Clock::AttachMethod(MethodProcess& m, EdgeGuard guard, const void* ctx) {
+  methods_.push_back(Trigger{&m, guard, ctx});
+}
 
 void Clock::AddEdgeHook(std::function<void()> fn, int priority) {
   hooks_.push_back(Hook{priority, hook_seq_++, std::move(fn)});
@@ -37,18 +39,26 @@ void Clock::Edge() {
   // edge, so delaying them would forge a different design, not a schedule.
   // Deferred waiters are compacted to the front in order, in place, so the
   // vector keeps its capacity from edge to edge.
-  std::size_t deferred = 0;
-  for (ProcessBase* p : waiters_) {
-    if (chaos_ != nullptr && chaos_->DeferWakeup()) {
-      waiters_[deferred++] = p;
-      continue;
+  if (chaos_ == nullptr) {
+    for (ProcessBase* p : waiters_) sim_.MakeRunnable(*p);
+    waiters_.clear();
+  } else {
+    std::size_t deferred = 0;
+    for (ProcessBase* p : waiters_) {
+      if (chaos_->DeferWakeup()) {
+        waiters_[deferred++] = p;
+        continue;
+      }
+      sim_.MakeRunnable(*p);
     }
-    sim_.MakeRunnable(*p);
+    waiters_.resize(deferred);
   }
-  waiters_.resize(deferred);
-  // Trigger statically sensitive methods.
-  for (ProcessBase* m : methods_) sim_.MakeRunnable(*m);
-  sim_.ScheduleAt(sim_.now() + NextPeriod(), [this] { Edge(); }, this);
+  // Trigger statically sensitive methods. A guard runs in its method's place
+  // in this order; a method whose guard fails is not dispatched this edge.
+  for (const Trigger& m : methods_) {
+    if (m.guard == nullptr || m.guard(m.ctx)) sim_.MakeRunnable(*m.method);
+  }
+  sim_.ScheduleEdge(*this, sim_.now() + NextPeriod());
 }
 
 }  // namespace craft

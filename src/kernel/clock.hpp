@@ -48,8 +48,9 @@ class Clock {
   /// Registers a thread to be resumed at the next posedge (one-shot).
   void AddWaiter(ProcessBase& p) { waiters_.push_back(&p); }
 
-  /// Makes `m` run at every posedge.
-  void AttachMethod(MethodProcess& m);
+  /// Makes `m` run at every posedge, or, with a `guard`, at every posedge
+  /// where guard(ctx) holds (see MethodProcess::SensitiveTo).
+  void AttachMethod(MethodProcess& m, EdgeGuard guard, const void* ctx);
 
   /// craft-par: the clock-domain group this clock was assigned to by the
   /// engine's partitioner at the first Run (0 before). Edge callbacks stamp
@@ -63,6 +64,8 @@ class Clock {
   virtual Time NextPeriod() { return period_; }
 
  private:
+  friend class Simulator;  // fires Edge() from the timed-event loop
+
   void Edge();
 
   Simulator& sim_;
@@ -80,8 +83,15 @@ class Clock {
   bool hooks_dirty_ = false;
   std::uint64_t hook_seq_ = 0;
 
+  /// A statically sensitive method and its optional edge guard.
+  struct Trigger {
+    ProcessBase* method;
+    EdgeGuard guard;
+    const void* ctx;
+  };
+
   std::vector<ProcessBase*> waiters_;
-  std::vector<ProcessBase*> methods_;
+  std::vector<Trigger> methods_;
 
   // craft-chaos: nullptr unless a wakeup-delay fault is armed for this clock.
   ChaosClockPoint* chaos_ = nullptr;

@@ -254,18 +254,24 @@ void Engine::Redistribute() {
     }
   }
 
-  // Timed entries drain in (t, seq) order and are re-sequenced per target
-  // shard, preserving each shard's relative firing order. Clock edges go to
-  // their clock's group; anonymous entries (delayed notifications issued
-  // from the main thread) go to group 0.
-  while (!main.timed.empty()) {
-    TimedEntry e{main.timed.top().t, 0, main.timed.top().clock,
-                 std::move(const_cast<TimedEntry&>(main.timed.top()).fn)};
-    main.timed.pop();
-    const unsigned g = e.clock != nullptr ? e.clock->par_group() : 0;
-    SchedShard& target = *sim_.group_shards_[g];
-    e.seq = target.seq++;
-    target.timed.push(std::move(e));
+  // Both heaps drain in merged (t, seq) order and every entry is
+  // re-sequenced on its target shard, preserving each shard's relative
+  // firing order. Clock edges go to their clock's group; generic entries
+  // (delayed notifications issued from the main thread) go to group 0.
+  while (main.HasTimed()) {
+    if (main.EdgeIsNext()) {
+      EdgeEntry e = main.edges.top();
+      main.edges.pop();
+      SchedShard& target = *sim_.group_shards_[e.clock->par_group()];
+      e.seq = target.seq++;
+      target.edges.push(e);
+    } else {
+      SchedShard& target = *sim_.group_shards_[0];
+      TimedEntry e{main.timed.top().t, target.seq++,
+                   std::move(const_cast<TimedEntry&>(main.timed.top()).fn)};
+      main.timed.pop();
+      target.timed.push(std::move(e));
+    }
   }
 }
 
@@ -283,8 +289,7 @@ void Engine::StartThreads() {
 
 Time Engine::NextEventTime(const SchedShard& s) {
   if (!s.runnable.empty() || !s.updates.empty()) return s.now;
-  if (!s.timed.empty()) return s.timed.top().t;
-  return kTimeNever;
+  return s.HasTimed() ? s.NextTimed() : kTimeNever;
 }
 
 void Engine::RunWindow(Worker& w) {
@@ -292,7 +297,9 @@ void Engine::RunWindow(Worker& w) {
   const std::uint64_t t0 = measure_windows_ ? NowNs() : 0;
   try {
     sim_.SettleDeltas(s);
-    while (!s.local_stop && !s.timed.empty() && s.timed.top().t <= horizon_) {
+    // HasTimed() ends the loop once both heaps drain, also when the horizon
+    // is kTimeNever, which no entry's time exceeds.
+    while (!s.local_stop && s.HasTimed() && s.NextTimed() <= horizon_) {
       sim_.FireTimestep(s);
       sim_.SettleDeltas(s);
     }

@@ -84,8 +84,9 @@ void ThreadProcess::Wait(Event& e) {
 MethodProcess::MethodProcess(Simulator& sim, std::string name, std::function<void()> body)
     : ProcessBase(sim, std::move(name)), body_(std::move(body)) {}
 
-MethodProcess& MethodProcess::SensitiveTo(Clock& clk) {
-  clk.AttachMethod(*this);
+MethodProcess& MethodProcess::SensitiveTo(Clock& clk, EdgeGuard guard,
+                                          const void* ctx) {
+  clk.AttachMethod(*this, guard, ctx);
   affinity_clocks_.push_back(&clk);
   return *this;
 }

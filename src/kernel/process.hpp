@@ -27,6 +27,10 @@ class Event;
 /// Sentinel for ProcessBase::trace_blocked_track: not blocked on any track.
 inline constexpr std::uint32_t kNoTraceTrack = 0xFFFF'FFFFu;
 
+/// A clock-triggered method's edge guard: called at each edge with the
+/// context pointer it was registered with; false skips the method this edge.
+using EdgeGuard = bool (*)(const void* ctx);
+
 /// Common base for thread and method processes.
 class ProcessBase {
  public:
@@ -145,8 +149,15 @@ class MethodProcess : public ProcessBase {
 
   void Dispatch() override { body_(); }
 
-  /// Adds a clock posedge trigger.
-  MethodProcess& SensitiveTo(Clock& clk);
+  /// Adds a clock posedge trigger. With a `guard`, the clock evaluates
+  /// guard(ctx) at each edge, in this method's place in its trigger order,
+  /// and dispatches the method only where it holds: an edge whose guard
+  /// fails costs no dispatch and no delta. The guard may read only state no
+  /// process can change between the edge and the method's dispatch slot in
+  /// the first delta; committed signal values qualify, since no update
+  /// phase runs in between.
+  MethodProcess& SensitiveTo(Clock& clk, EdgeGuard guard = nullptr,
+                             const void* ctx = nullptr);
 
   /// Declares the clock domain this method belongs to WITHOUT adding a
   /// trigger — for signal-sensitive methods (combinational logic), whose

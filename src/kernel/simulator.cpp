@@ -3,6 +3,7 @@
 #include <chrono>
 #include <sstream>
 
+#include "kernel/clock.hpp"
 #include "kernel/design_graph.hpp"
 #include "kernel/parallel.hpp"
 #include "kernel/process.hpp"
@@ -69,18 +70,14 @@ void Simulator::RegisterCrossing(const void* producer_clk,
   crossings_.push_back(CrossingDecl{producer_clk, consumer_clk, sync_delay, path});
 }
 
-void Simulator::ScheduleAt(Time t, std::function<void()> fn,
-                           const Clock* clock) {
+void Simulator::ScheduleAt(Time t, std::function<void()> fn) {
   SchedShard& s = CurShard();
   CRAFT_ASSERT(t >= s.now, "cannot schedule in the past");
-  s.timed.push(TimedEntry{t, s.seq++, clock, std::move(fn)});
+  s.timed.push(TimedEntry{t, s.seq++, std::move(fn)});
 }
 
-void Simulator::MakeRunnable(ProcessBase& p) {
-  if (p.queued) return;
-  SchedShard* routed =
-      group_shards_.empty() ? nullptr : group_shards_[p.par_group];
-  SchedShard& s = routed != nullptr ? *routed : main_shard_;
+void Simulator::MakeRunnableRouted(ProcessBase& p) {
+  SchedShard& s = *group_shards_[p.par_group];
   // Thread-affinity check (craft-par): a worker thread may only wake
   // processes on its own shard. Waking another domain group's process
   // mid-window would be a cross-domain interaction outside any registered
@@ -164,13 +161,25 @@ void Simulator::SettleDeltas(SchedShard& s) {
 }
 
 void Simulator::FireTimestep(SchedShard& s) {
-  s.now = s.timed.top().t;
-  // Fire every timed entry at this timestamp; the caller settles deltas.
-  while (!s.timed.empty() && s.timed.top().t == s.now) {
-    auto fn = std::move(const_cast<TimedEntry&>(s.timed.top()).fn);
-    s.timed.pop();
-    ++s.timed_fired;
-    fn();
+  s.now = s.NextTimed();
+  // Fire every entry of both heaps at this timestamp, merged in (t, seq)
+  // order (exactly the order of one shared heap); the caller settles
+  // deltas. An entry fired here may queue another at the same timestamp,
+  // which fires in this loop too.
+  while (s.HasTimed()) {
+    if (s.EdgeIsNext()) {
+      const EdgeEntry e = s.edges.top();
+      if (e.t != s.now) return;
+      s.edges.pop();
+      ++s.timed_fired;
+      e.clock->Edge();
+    } else {
+      if (s.timed.top().t != s.now) return;
+      auto fn = std::move(const_cast<TimedEntry&>(s.timed.top()).fn);
+      s.timed.pop();
+      ++s.timed_fired;
+      fn();
+    }
   }
 }
 

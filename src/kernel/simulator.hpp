@@ -20,6 +20,7 @@
 
 #include "kernel/chaos.hpp"
 #include "kernel/cover.hpp"
+#include "kernel/process.hpp"
 #include "kernel/pulse.hpp"
 #include "kernel/report.hpp"
 #include "kernel/stats.hpp"
@@ -28,7 +29,6 @@
 
 namespace craft {
 
-class ProcessBase;
 class Clock;
 class DesignGraph;
 
@@ -52,15 +52,25 @@ class Updatable {
   virtual void Update() = 0;
 };
 
-/// One timed-event queue entry. `clock` is the Clock whose edge it is (null
-/// otherwise) so the engine can move entries queued before a threaded Run
-/// onto the worker that owns that clock's domain.
+/// One generic timed-event queue entry: a callback at time `t` (delayed
+/// notifications, testbench code).
 struct TimedEntry {
   Time t;
-  std::uint64_t seq;  // FIFO tie-break for determinism
-  const Clock* clock;
+  std::uint64_t seq;  // FIFO tie-break for determinism, shared with EdgeEntry
   std::function<void()> fn;
   bool operator>(const TimedEntry& o) const {
+    return t != o.t ? t > o.t : seq > o.seq;
+  }
+};
+
+/// One clock-edge queue entry: plain data, fired by a direct Clock::Edge()
+/// call. Nearly all timed traffic is periodic clock edges, so they skip the
+/// std::function of a generic entry.
+struct EdgeEntry {
+  Time t;
+  std::uint64_t seq;
+  Clock* clock;
+  bool operator>(const EdgeEntry& o) const {
     return t != o.t ? t > o.t : seq > o.seq;
   }
 };
@@ -78,8 +88,11 @@ struct SchedShard {
   /// delta-settle loop exactly like the single-threaded scheduler.
   bool local_stop = false;
 
+  /// Generic callbacks and clock edges. The two heaps share `seq`, so
+  /// merging them by (t, seq) gives exactly the order of one shared heap.
   std::priority_queue<TimedEntry, std::vector<TimedEntry>, std::greater<TimedEntry>>
       timed;
+  std::priority_queue<EdgeEntry, std::vector<EdgeEntry>, std::greater<EdgeEntry>> edges;
   std::vector<ProcessBase*> runnable;
   std::vector<Updatable*> updates;
   /// SettleDeltas' second buffers. Each delta swaps `runnable` and `updates`
@@ -87,6 +100,22 @@ struct SchedShard {
   /// originals, so both pairs keep their capacity from delta to delta.
   std::vector<ProcessBase*> dispatching;
   std::vector<Updatable*> updating;
+
+  /// True while either heap holds an entry.
+  bool HasTimed() const { return !timed.empty() || !edges.empty(); }
+
+  /// True when the next entry in (t, seq) order is a clock edge. Requires
+  /// HasTimed().
+  bool EdgeIsNext() const {
+    if (timed.empty()) return true;
+    if (edges.empty()) return false;
+    const EdgeEntry& e = edges.top();
+    const TimedEntry& f = timed.top();
+    return e.t != f.t ? e.t < f.t : e.seq < f.seq;
+  }
+
+  /// Time of the next entry of either heap. Requires HasTimed().
+  Time NextTimed() const { return EdgeIsNext() ? edges.top().t : timed.top().t; }
 };
 
 /// Shard the calling worker thread is executing simulation work for. Null
@@ -253,17 +282,32 @@ class Simulator {
 
   // ---- Scheduling interface (used by Clock, Event, Signal, processes) ----
 
-  /// Schedules `fn` to run at absolute time `t` (>= now). Clocks pass
-  /// themselves as `clock` so entries queued before a threaded Run can be
-  /// routed to the worker that owns their domain.
-  void ScheduleAt(Time t, std::function<void()> fn, const Clock* clock = nullptr);
+  /// Schedules `fn` to run at absolute time `t` (>= now). Entries queued
+  /// before a threaded Run go to the worker that owns group 0.
+  void ScheduleAt(Time t, std::function<void()> fn);
+
+  /// Schedules `clk`'s next edge at absolute time `t` (>= now); the edge
+  /// fires by a direct Clock::Edge() call. Edges queued before a threaded
+  /// Run go to the worker that owns the clock's domain group.
+  void ScheduleEdge(Clock& clk, Time t) {
+    SchedShard& s = CurShard();
+    CRAFT_ASSERT(t >= s.now, "cannot schedule in the past");
+    s.edges.push(EdgeEntry{t, s.seq++, &clk});
+  }
 
   /// Queues a process for execution in the next evaluation phase of the
   /// current timestep. Safe to call multiple times; the process runs once.
   /// Under craft-par the target shard is the process's domain group; waking
   /// a process owned by another worker mid-window is a cross-domain
   /// interaction outside a crossing and raises a SimError.
-  void MakeRunnable(ProcessBase& p);
+  void MakeRunnable(ProcessBase& p) {
+    if (p.queued) return;
+    // One worker (no routing table) runs everything on the main shard, and
+    // no worker thread exists to wake a process from the wrong one.
+    if (!group_shards_.empty()) return MakeRunnableRouted(p);
+    p.queued = true;
+    main_shard_.runnable.push_back(&p);
+  }
 
   /// Queues an Updatable for the update phase of the current delta.
   void QueueUpdate(Updatable& u) { CurShard().updates.push_back(&u); }
@@ -300,6 +344,9 @@ class Simulator {
     SchedShard* s = tl_sched_shard;
     return s != nullptr ? *s : main_shard_;
   }
+
+  /// MakeRunnable with worker threads: queues `p` on its group's shard.
+  void MakeRunnableRouted(ProcessBase& p);
 
   /// True from the first Run(), which partitions the design.
   bool started() const { return engine_ != nullptr; }

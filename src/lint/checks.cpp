@@ -52,9 +52,9 @@ std::string JoinOwners(const std::vector<const DesignGraph::PortNode*>& ps) {
 
 }  // namespace
 
-std::vector<Finding> CheckUnboundPorts(const DesignGraph& g) {
+std::vector<Finding> CheckUnboundPorts(const PortList& ports) {
   std::vector<Finding> out;
-  for (const auto& p : g.ports()) {
+  for (const auto& p : ports) {
     if (!p.channel.empty() || p.optional_ok) continue;
     out.push_back(Finding{
         "unbound-port", Severity::kError, p.owner,
@@ -65,10 +65,8 @@ std::vector<Finding> CheckUnboundPorts(const DesignGraph& g) {
   return out;
 }
 
-std::vector<Finding> CheckMultiDriver(const DesignGraph& g) {
+std::vector<Finding> CheckMultiDriver(const PortList& ports) {
   std::vector<Finding> out;
-  // ports() returns by value; keep it alive while ChannelUse points into it.
-  const std::vector<DesignGraph::PortNode> ports = g.ports();
   for (const auto& [name, use] : GroupByChannel(ports)) {
     if (use.drivers.size() > 1) {
       out.push_back(Finding{
@@ -89,14 +87,14 @@ std::vector<Finding> CheckMultiDriver(const DesignGraph& g) {
   return out;
 }
 
-std::vector<Finding> CheckCombCycles(const DesignGraph& g) {
+std::vector<Finding> CheckCombCycles(const DesignGraph& g, const PortList& ports) {
   // Graph over module/channel names with edges only through zero-buffer
   // channels: owner --Out--> channel --In--> owner. Any SCC with >= 2 nodes
   // is a cycle with no storage anywhere on it — the LI deadlock-
   // susceptibility rule (a rendezvous loop cannot make progress).
   const auto& channels = g.channels();
   NameGraph adj;
-  for (const auto& p : g.ports()) {
+  for (const auto& p : ports) {
     if (p.channel.empty()) continue;
     auto it = channels.find(p.channel);
     if (it == channels.end() || !it->second.zero_storage) continue;
@@ -132,7 +130,7 @@ std::vector<Finding> CheckCombCycles(const DesignGraph& g) {
   return out;
 }
 
-std::vector<Finding> CheckCdc(const DesignGraph& g) {
+std::vector<Finding> CheckCdc(const DesignGraph& g, const PortList& ports) {
   std::vector<Finding> out;
   const auto& channels = g.channels();
   const auto& modules = g.modules();
@@ -162,7 +160,7 @@ std::vector<Finding> CheckCdc(const DesignGraph& g) {
     return nullptr;
   };
 
-  for (const auto& p : g.ports()) {
+  for (const auto& p : ports) {
     if (p.channel.empty()) continue;
     auto cit = channels.find(p.channel);
     if (cit == channels.end()) continue;
@@ -200,7 +198,7 @@ std::vector<Finding> CheckCdc(const DesignGraph& g) {
   return out;
 }
 
-std::vector<Finding> CheckPacketizers(const DesignGraph& g) {
+std::vector<Finding> CheckPacketizers(const DesignGraph& g, const PortList& ports) {
   const auto& pks = g.packetizers();
   if (pks.empty()) return {};
 
@@ -224,7 +222,7 @@ std::vector<Finding> CheckPacketizers(const DesignGraph& g) {
     const std::string ra = find(a), rb = find(b);
     if (ra != rb) parent[ra] = rb;
   };
-  for (const auto& p : g.ports()) {
+  for (const auto& p : ports) {
     if (!p.channel.empty()) unite(p.owner, p.channel);
   }
 
@@ -302,9 +300,13 @@ std::vector<Finding> UnusedSuppressionFindings(
 
 std::vector<Finding> CheckDesignGraph(const DesignGraph& g, const LintOptions& opts,
                                       std::vector<bool>* used_suppressions) {
+  // One sorted copy of the ports for every rule: each copy allocates per
+  // port.
+  const PortList ports = g.ports();
   std::vector<Finding> all;
-  for (auto&& chunk : {CheckUnboundPorts(g), CheckMultiDriver(g), CheckCombCycles(g),
-                       CheckCdc(g), CheckPacketizers(g)}) {
+  for (auto&& chunk : {CheckUnboundPorts(ports), CheckMultiDriver(ports),
+                       CheckCombCycles(g, ports), CheckCdc(g, ports),
+                       CheckPacketizers(g, ports)}) {
     all.insert(all.end(), chunk.begin(), chunk.end());
   }
   return ApplyOptions(std::move(all), opts, used_suppressions);

@@ -54,7 +54,7 @@ void OrUsed(std::vector<bool>& acc, const std::vector<bool>& used) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   LintOptions opts;
   bool json = false;
   bool quiet = false;
@@ -160,4 +160,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   return gating > 0 ? 1 : 0;
+} catch (const craft::SimError& e) {
+  // A SimError the run raised is a finding: one line, exit 1 (README "Exit codes").
+  std::fprintf(stderr, "craft_lint: %s\n", e.what());
+  return 1;
 }

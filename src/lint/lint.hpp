@@ -70,12 +70,17 @@ bool GlobMatch(const std::string& pattern, const std::string& text);
 Suppression ParseSuppression(const std::string& spec);
 
 // ---- individual design-graph rules (exposed for targeted tests) ----
+//
+// `ports` is g.ports(), the live ports sorted by registration id: a copy
+// CheckDesignGraph builds once per lint run and hands to every rule.
 
-std::vector<Finding> CheckUnboundPorts(const DesignGraph& g);
-std::vector<Finding> CheckMultiDriver(const DesignGraph& g);
-std::vector<Finding> CheckCombCycles(const DesignGraph& g);
-std::vector<Finding> CheckCdc(const DesignGraph& g);
-std::vector<Finding> CheckPacketizers(const DesignGraph& g);
+using PortList = std::vector<DesignGraph::PortNode>;
+
+std::vector<Finding> CheckUnboundPorts(const PortList& ports);
+std::vector<Finding> CheckMultiDriver(const PortList& ports);
+std::vector<Finding> CheckCombCycles(const DesignGraph& g, const PortList& ports);
+std::vector<Finding> CheckCdc(const DesignGraph& g, const PortList& ports);
+std::vector<Finding> CheckPacketizers(const DesignGraph& g, const PortList& ports);
 
 /// Runs every design-graph rule, then applies suppressions and severity
 /// overrides. Findings are sorted by (rule, path) for determinism. If

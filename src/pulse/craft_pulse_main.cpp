@@ -237,7 +237,7 @@ bool CrossCheck(const Simulator& sim, bool exact_expected, bool quiet,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options opt;
   std::uint64_t capacity = 512;
 
@@ -444,4 +444,8 @@ int main(int argc, char** argv) {
   if (hb_file != nullptr && hb_file != stderr) std::fclose(hb_file);
   if (!io_ok) return 2;
   return ok ? 0 : 1;
+} catch (const craft::SimError& e) {
+  // A SimError the run raised is a finding: one line, exit 1 (README "Exit codes").
+  std::fprintf(stderr, "craft_pulse: %s\n", e.what());
+  return 1;
 }

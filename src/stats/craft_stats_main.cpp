@@ -89,7 +89,7 @@ bool Validate(const RunResult& r, std::string* why) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Format format = Format::kText;
   bool quiet = false;
   bool sync = false;
@@ -182,4 +182,8 @@ int main(int argc, char** argv) {
     }
   }
   return failures > 0 ? 1 : 0;
+} catch (const craft::SimError& e) {
+  // A SimError the run raised is a finding: one line, exit 1 (README "Exit codes").
+  std::fprintf(stderr, "craft_stats: %s\n", e.what());
+  return 1;
 }

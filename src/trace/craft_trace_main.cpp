@@ -149,7 +149,7 @@ std::string TracePathFor(const std::string& base, const std::string& workload,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bool json = false;
   bool quiet = false;
   bool sync = false;
@@ -231,4 +231,8 @@ int main(int argc, char** argv) {
     }
   }
   return failures > 0 ? 1 : 0;
+} catch (const craft::SimError& e) {
+  // A SimError the run raised is a finding: one line, exit 1 (README "Exit codes").
+  std::fprintf(stderr, "craft_trace: %s\n", e.what());
+  return 1;
 }

@@ -400,6 +400,8 @@ struct SigWork {
 
 class SigChannelCounts : public ::testing::Test {
  protected:
+  explicit SigChannelCounts(bool traced = false) : sim_(traced) {}
+
   static constexpr std::uint64_t kSettleCycles = 20;
   static constexpr std::uint64_t kWindowCycles = 100;
 
@@ -431,9 +433,10 @@ class SigChannelCounts : public ::testing::Test {
 
   /// Configured before any member below elaborates.
   struct SignalAccurateSim : Simulator {
-    SignalAccurateSim() {
+    explicit SignalAccurateSim(bool traced) {
       set_mode(SimMode::kSignalAccurate);
       stats().Enable();
+      if (traced) trace_events().Enable();
     }
   };
 
@@ -446,12 +449,13 @@ class SigChannelCounts : public ::testing::Test {
 };
 
 // The combinational method re-evaluates only when an input signal or the
-// queue changes: an idle edge runs the register (seq) and nothing else.
+// queue changes, and the register (seq) only on an edge where a handshake
+// completes: an idle edge fails seq's edge guard and runs nothing at all.
 TEST_F(SigChannelCounts, IdleChannelRunsOnlyTheRegister) {
   const SigWork w = Measure();
   EXPECT_EQ(w.comb, 0u);
-  EXPECT_EQ(w.seq, kWindowCycles);
-  EXPECT_EQ(w.deltas, kWindowCycles);
+  EXPECT_EQ(w.seq, 0u);
+  EXPECT_EQ(w.deltas, 0u);
 }
 
 TEST_F(SigChannelCounts, ProducerBlockedOnAFullBufferLeavesCombIdle) {
@@ -459,8 +463,8 @@ TEST_F(SigChannelCounts, ProducerBlockedOnAFullBufferLeavesCombIdle) {
   prod.out(ch_);
   const SigWork w = Measure();
   EXPECT_EQ(w.comb, 0u);
-  EXPECT_EQ(w.seq, kWindowCycles);
-  // seq still counts a stall cycle at every edge.
+  EXPECT_EQ(w.seq, 0u);
+  // The blocked producer still counts a stall cycle at every edge.
   EXPECT_EQ(full_stall_cycles(), kWindowCycles);
   EXPECT_EQ(transfers(), 0u);
 }
@@ -475,6 +479,32 @@ TEST_F(SigChannelCounts, StreamingChannelReevaluatesEveryCycle) {
   EXPECT_EQ(w.seq, kWindowCycles);
   EXPECT_EQ(w.deltas, 2 * kWindowCycles);
   EXPECT_EQ(transfers(), kWindowCycles);
+}
+
+class SigChannelCountsTraced : public SigChannelCounts {
+ protected:
+  SigChannelCountsTraced() : SigChannelCounts(/*traced=*/true) {}
+};
+
+// With a trace track, seq's guard also holds on a stall edge, so the stall
+// is sampled in seq's slot at every edge as before, and the trace records
+// the whole episode as one stall instant.
+TEST_F(SigChannelCountsTraced, BlockedProducerSamplesEveryStallEdge) {
+  Producer prod(top_, "prod", clk_, 1'000'000);
+  prod.out(ch_);
+  const SigWork w = Measure();
+  EXPECT_EQ(w.comb, 0u);
+  EXPECT_EQ(w.seq, kWindowCycles);
+  EXPECT_EQ(full_stall_cycles(), kWindowCycles);
+  // seq's trace samples and the producer's stall count agree edge for edge.
+  const TraceTrack* track = sim_.trace_events().FindTrack("top.ch");
+  ASSERT_NE(track, nullptr);
+  EXPECT_EQ(track->full_stall_samples(), Stats().full_stall_cycles);
+  std::uint64_t stall_instants = 0;
+  sim_.trace_events().ForEachEvent([&](const TraceEvent& e) {
+    if (e.track == track->id() && e.kind == TraceEventKind::kInstant) ++stall_instants;
+  });
+  EXPECT_EQ(stall_instants, 1u);
 }
 
 // ---------- packetizer / depacketizer ----------

@@ -302,6 +302,41 @@ TEST(Clock, MultipleIndependentClockDomains) {
   EXPECT_EQ(slow.cycle(), 10u);
 }
 
+TEST(Clock, EdgesAndCallbacksAtOneTimeFireInScheduleOrder) {
+  // Clock edges and generic callbacks sit in two heaps that share one
+  // sequence counter; a timestep fires them merged, in scheduling order.
+  Simulator sim;
+  std::vector<std::string> order;
+  sim.ScheduleAt(1_ns, [&] { order.push_back("before"); });
+  Clock clk(sim, "clk", 1_ns);  // queues its first edge at 1 ns
+  clk.AddEdgeHook([&] { order.push_back("edge"); });
+  sim.ScheduleAt(1_ns, [&] { order.push_back("after"); });
+  sim.Run(1_ns);
+  EXPECT_EQ(order, (std::vector<std::string>{"before", "edge", "after"}));
+}
+
+TEST(Clock, GuardedMethodKeepsItsTriggerOrder) {
+  Simulator sim;
+  Clock clk(sim, "clk", 1_ns);
+  Module top(sim, "top");
+  std::string log;
+  struct B : Module {
+    B(Module& p, Clock& clk, std::string& log) : Module(p, "b") {
+      const EdgeGuard even_cycle = [](const void* c) {
+        return static_cast<const Clock*>(c)->cycle() % 2 == 0;
+      };
+      Method("a", [&log] { log += 'a'; }).SensitiveTo(clk);
+      Method("b", [&log] { log += 'b'; }).SensitiveTo(clk, even_cycle, &clk);
+      Method("c", [&log] { log += 'c'; }).SensitiveTo(clk);
+    }
+  } b(top, clk, log);
+  sim.Run(0);  // the initial evaluation runs every method; no guard is asked
+  EXPECT_EQ(log, "abc");
+  log.clear();
+  sim.Run(6_ns);
+  EXPECT_EQ(log, "ac" "abc" "ac" "abc" "ac" "abc");
+}
+
 TEST(Thread, WaitAdvancesOneClockCycle) {
   Simulator sim;
   Clock clk(sim, "clk", 1_ns);
@@ -854,14 +889,12 @@ TEST(Simulator, TimeAdvancesExactlyToBoundWhenQueueDrains) {
   EXPECT_EQ(sim.now(), 7000u);
 }
 
-/// Run(kTimeNever) on the engine's one inline worker.
-class RunForever : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(RunForever, RunsUntilStopAfterTimeZero) {
+// Run(kTimeNever) on the engine's one inline worker: no horizon bounds its
+// window, so only Stop() or two drained timed heaps end it.
+TEST(RunForever, RunsUntilStopAfterTimeZero) {
   // Regression: Run(d) added d to now() unsigned, so Run(kTimeNever) after
   // time 0 wrapped to a horizon in the past and returned at once.
   Simulator sim;
-  sim.SetParallelism(GetParam());
   Clock clk(sim, "clk", 1_ns);
   Module top(sim, "top");
   struct B : Module {
@@ -879,12 +912,11 @@ TEST_P(RunForever, RunsUntilStopAfterTimeZero) {
   EXPECT_EQ(sim.now(), 50000u);
 }
 
-TEST_P(RunForever, DrainedRunSamplesThePulseWindowOfItsLastEvent) {
+TEST(RunForever, DrainedRunSamplesThePulseWindowOfItsLastEvent) {
   // A run that reaches its horizon samples every pulse boundary up to it;
   // at kTimeNever the limit wrapped to 0 and the window holding the last
   // event (boundary 30 ns) was never sampled.
   Simulator sim;
-  sim.SetParallelism(GetParam());
   PulseConfig cfg;
   cfg.period_ps = 10_ns;
   cfg.capacity = 4;
@@ -896,11 +928,6 @@ TEST_P(RunForever, DrainedRunSamplesThePulseWindowOfItsLastEvent) {
   EXPECT_EQ(sim.now(), kTimeNever);
   EXPECT_GE(sim.pulse().windows_total(), 3u);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothLoops, RunForever, ::testing::Values(1u),
-                         [](const ::testing::TestParamInfo<unsigned>&) {
-                           return "InlineEngine";
-                         });
 
 /// Sets CRAFT_PARALLELISM for one scope, then restores what was there.
 class ScopedParallelismEnv {

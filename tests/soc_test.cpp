@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "cover/cover.hpp"
 #include "kernel/stats.hpp"
@@ -249,6 +250,46 @@ InstrumentedRun RunInstrumented(const Workload& w, bool gals) {
   cover::Collect(sim, info, &db);
   r.bins_hit = cover::Summarize(db).bins_hit;
   return r;
+}
+
+/// Kernel work one run did, and the controller cycles it took.
+struct WorkCounts {
+  std::uint64_t dispatches = 0;
+  std::uint64_t deltas = 0;
+  std::uint64_t timed = 0;
+  std::uint64_t cycles = 0;
+};
+
+WorkCounts RunCounted(const Workload& w, SimMode mode, bool gals, bool stats) {
+  Simulator sim;
+  sim.set_mode(mode);
+  if (stats) sim.stats().Enable();
+  SocConfig cfg = SingleClock2x2();
+  cfg.gals = gals;
+  SocTop soc(sim, cfg);
+  const WorkloadRun run = RunWorkload(soc, w, 50_ms);
+  EXPECT_TRUE(run.ok) << run.name << ": " << run.error;
+  return {sim.dispatch_count(), sim.delta_count(), sim.timed_fired(), run.cycles};
+}
+
+// Instruments count work; they must not add any. Turning stats on leaves
+// every kernel work count and the cycle count as they were, in both
+// Connections models (the signal-accurate register's edge guard must not
+// depend on stats).
+TEST(SocInstruments, StatsChangeNoKernelWorkCount) {
+  const Workload vecmul = AllWorkloads().front();
+  ASSERT_EQ(vecmul.name, "vecmul");
+  for (const auto& [mode, gals] : {std::pair{SimMode::kSimAccurate, true},
+                                   std::pair{SimMode::kSignalAccurate, false}}) {
+    const WorkCounts off = RunCounted(vecmul, mode, gals, false);
+    const WorkCounts on = RunCounted(vecmul, mode, gals, true);
+    const char* model = mode == SimMode::kSimAccurate ? "sim-accurate" : "signal-accurate";
+    EXPECT_GT(off.dispatches, 0u) << model;
+    EXPECT_EQ(off.dispatches, on.dispatches) << model;
+    EXPECT_EQ(off.deltas, on.deltas) << model;
+    EXPECT_EQ(off.timed, on.timed) << model;
+    EXPECT_EQ(off.cycles, on.cycles) << model;
+  }
 }
 
 TEST(SocSignalAccurate, InstrumentedOutputsArePinned) {
