@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace craft {
 
@@ -16,11 +17,16 @@ class SimError : public std::runtime_error {
 
 namespace detail {
 
-[[noreturn]] inline void RaiseError(const char* file, int line, const std::string& msg) {
-  std::ostringstream os;
-  os << file << ":" << line << ": " << msg;
-  throw SimError(os.str());
-}
+/// `path` with "." components, repeated separators and "dir/.." pairs
+/// removed; a leading "/" (and a relative path's leading "..") kept.
+std::string LexicallyNormal(std::string_view path);
+
+/// A __FILE__ as error messages print it: lexically normalised and, inside
+/// the checkout this kernel was built from, relative to its root —
+/// "src/soc/soc.hpp", not "/abs/checkout/src/soc/../soc/soc.hpp".
+std::string SourcePath(std::string_view file);
+
+[[noreturn]] void RaiseError(const char* file, int line, const std::string& msg);
 
 }  // namespace detail
 

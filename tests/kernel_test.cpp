@@ -22,6 +22,7 @@
 #include "connections/connections.hpp"
 #include "gals/pausible_fifo.hpp"
 #include "kernel/kernel.hpp"
+#include "kernel/report.hpp"
 
 namespace craft {
 namespace {
@@ -1177,6 +1178,28 @@ TEST(Marshal, IntegralWidths) {
   BitStream s;
   Marshal<std::uint32_t>::Write(s, 0xCAFEBABE);
   EXPECT_EQ(Marshal<std::uint32_t>::Read(s), 0xCAFEBABEu);
+}
+
+// ---------- error reports ----------
+
+TEST(Report, SourcePathsAreNormalisedAndCheckoutRelative) {
+  EXPECT_EQ(detail::LexicallyNormal("/a/src/soc/../soc/./soc.hpp"), "/a/src/soc/soc.hpp");
+  EXPECT_EQ(detail::LexicallyNormal("a//b/../../c"), "c");
+  EXPECT_EQ(detail::LexicallyNormal("../x/../y"), "../y");
+  EXPECT_EQ(detail::LexicallyNormal("/../x"), "/x");
+  EXPECT_EQ(detail::LexicallyNormal("a/.."), ".");
+  // A file of this checkout prints relative to its root, however the
+  // compiler spelled the path; one outside it stays absolute.
+  EXPECT_EQ(detail::SourcePath(__FILE__), "tests/kernel_test.cpp");
+  const std::string spelled = std::string(__FILE__) + "/../../src/soc/../soc/soc.hpp";
+  EXPECT_EQ(detail::SourcePath(spelled), "src/soc/soc.hpp");
+  EXPECT_EQ(detail::SourcePath("/elsewhere/x/../y.cpp"), "/elsewhere/y.cpp");
+  try {
+    CRAFT_ASSERT(1 + 1 == 3, "arithmetic");
+    FAIL() << "CRAFT_ASSERT did not raise";
+  } catch (const SimError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("tests/kernel_test.cpp:", 0), 0u) << e.what();
+  }
 }
 
 }  // namespace
