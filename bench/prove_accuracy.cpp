@@ -22,7 +22,7 @@
 #include "gals/gals.hpp"
 #include "kernel/kernel.hpp"
 #include "kernel/stats.hpp"
-#include "lint/ref_designs.hpp"
+#include "session/session.hpp"
 
 namespace craft::analyze {
 namespace {
@@ -77,20 +77,15 @@ Row BufferPipeline() {
 }
 
 std::vector<Row> GalsPipeline() {
+  session::Session s(session::Spec{.design = "gals_pipeline", .horizon = 1_ms, .stats = true});
+  const Analysis a = Analyze(s.sim().design_graph());
+  s.Run();
   std::vector<Row> rows;
-  for (const lint::RefDesign& d : lint::ReferenceDesigns()) {
-    if (d.name != "gals_pipeline") continue;
-    Simulator sim;
-    sim.stats().Enable();
-    const auto handle = d.build(sim);
-    const Analysis a = Analyze(sim.design_graph());
-    sim.Run(1_ms);
-    for (const auto& [name, m] : stats::MeasuredCrossingRates(sim)) {
-      Row r{"gals_pipeline:" + name};
-      r.predicted_tokens_per_ns = FindCrossingBound(a, name)->tokens_per_ps * 1000.0;
-      r.measured_tokens_per_ns = m.tokens_per_ps * 1000.0;
-      rows.push_back(r);
-    }
+  for (const auto& [name, m] : stats::MeasuredCrossingRates(s.sim())) {
+    Row r{"gals_pipeline:" + name};
+    r.predicted_tokens_per_ns = FindCrossingBound(a, name)->tokens_per_ps * 1000.0;
+    r.measured_tokens_per_ns = m.tokens_per_ps * 1000.0;
+    rows.push_back(r);
   }
   return rows;
 }

@@ -1,4 +1,4 @@
-// craft_prove: elaborate the repo's reference designs and run the
+// craft_prove: elaborate every session::Catalog() design and run the
 // quantitative static analyses (capacity-aware deadlock feasibility,
 // cycle-ratio throughput bounds, buffer-sizing and GALS rate-matching
 // diagnostics) over each one. Exits non-zero iff any design has a provable
@@ -10,7 +10,7 @@
 
 #include "analyze/analyze.hpp"
 #include "kernel/kernel.hpp"
-#include "lint/ref_designs.hpp"
+#include "session/session.hpp"
 #include "support/cli.hpp"
 
 namespace {
@@ -40,10 +40,10 @@ int main(int argc, char** argv) try {
     return cli::ExitCode(s);
 
   std::vector<std::pair<std::string, analyze::Analysis>> reports;
-  for (const lint::RefDesign& d : lint::ReferenceDesigns()) {
-    Simulator sim;
-    const auto handle = d.build(sim);  // never Run(): purely static analysis
-    reports.emplace_back(d.name, analyze::Analyze(sim.design_graph()));
+  for (const session::Entry& e : session::Catalog()) {
+    // Never Run(): purely static analysis of the elaborated graph.
+    const session::Session s(session::Spec{.design = e.name});
+    reports.emplace_back(e.name, analyze::Analyze(s.sim().design_graph()));
   }
 
   std::FILE* text_out = (json && json_path.empty()) ? stderr : stdout;
@@ -60,23 +60,14 @@ int main(int argc, char** argv) try {
   std::fprintf(text_out, "craft_prove: %zu designs, %d errors, %d warnings\n",
                reports.size(), errors, warnings);
 
-  if (json) {
-    const std::string doc = analyze::FormatJson(reports);
-    if (json_path.empty()) {
-      std::fputs(doc.c_str(), stdout);
-    } else if (!cli::WriteFile(json_path, doc)) {
-      std::fprintf(stderr, "craft_prove: cannot write %s\n", json_path.c_str());
-      return 2;
-    }
-  }
+  if (json && !cli::Emit("craft_prove", json_path, analyze::FormatJson(reports)))
+    return 2;
   if (!sarif_path.empty()) {
     std::vector<std::pair<std::string, std::vector<lint::Finding>>> sarif_in;
     for (const auto& [design, a] : reports) sarif_in.emplace_back(design, a.findings);
-    if (!cli::WriteFile(sarif_path,
-                        lint::FormatSarif("craft-prove", cli::kToolVersion, sarif_in))) {
-      std::fprintf(stderr, "craft_prove: cannot write %s\n", sarif_path.c_str());
+    if (!cli::Emit("craft_prove", sarif_path,
+                   lint::FormatSarif("craft-prove", cli::kToolVersion, sarif_in)))
       return 2;
-    }
   }
   return errors > 0 ? 1 : 0;
 } catch (const craft::SimError& e) {

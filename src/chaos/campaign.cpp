@@ -5,321 +5,16 @@
 #include <algorithm>
 #include <sstream>
 
-#include "connections/connections.hpp"
-#include "connections/packetizer.hpp"
-#include "connections/retimer.hpp"
-#include "gals/async_channel.hpp"
 #include "kernel/kernel.hpp"
-#include "kernel/report.hpp"
-#include "lint/ref_designs.hpp"
-#include "soc/workloads.hpp"
+#include "kernel/rng.hpp"
 #include "trace/trace.hpp"
 
 namespace craft::chaos {
 
-using namespace craft::literals;
-
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t Mix(std::uint64_t h, std::uint64_t v) { return (h ^ v) * kFnvPrime; }
-
-/// The value the harness sends at position i: position-dependent with bits
-/// spread over the whole word, so any flip, loss or reordering shows up in
-/// both the payload oracle and the stream digest.
-std::uint32_t Payload(unsigned i) {
-  return (static_cast<std::uint32_t>(i) * 0x9E3779B9u) ^ 0xC3A5C85Cu;
-}
-
-/// The LI pipeline harness: every fault-hosting component in one bounded
-/// design. Source and sink know the full expected stream, so the sink is
-/// itself a detection site (payload oracle).
-///
-///   src -> src_q -> Retimer<2> -> rt_q -> Packetizer<u32,16> -> link(Flit)
-///       -> DePacketizer -> AsyncChannel (1000ps -> 1300ps) -> snk
-///
-/// 16-bit flits give 2 flits per message, so the depacketizer's framing
-/// checks see structure worth checking, and every payload bit of a flit
-/// lands in the reassembled message (no silently-ignored flip targets).
-struct LiHarness {
-  static constexpr const char* kLinkChannel = "li.link";
-  static constexpr unsigned kFlitBits = 16;
-
-  struct Source : Module {
-    connections::Out<std::uint32_t> out;
-    Source(Module& parent, Clock& clk, unsigned n) : Module(parent, "src") {
-      Thread("run", clk, [this, n] {
-        for (unsigned i = 0; i < n; ++i) out.Push(Payload(i));
-        for (;;) wait();
-      });
-    }
-  };
-
-  struct Sink : Module {
-    connections::In<std::uint32_t> in;
-    std::uint64_t digest = kFnvOffset;
-    std::uint64_t received = 0;
-    Sink(Module& parent, Clock& clk, unsigned n) : Module(parent, "snk") {
-      Thread("run", clk, [this, n] {
-        unsigned mismatches = 0;
-        for (unsigned i = 0; i < n; ++i) {
-          const std::uint32_t v = in.Pop();
-          if (v != Payload(i) && ++mismatches <= 4) {
-            sim().chaos().ReportDetection(
-                full_name(), "payload-mismatch",
-                "position " + std::to_string(i) + ": got 0x" + ToHex(v) +
-                    ", expected 0x" + ToHex(Payload(i)));
-          }
-          digest = Mix(digest, v);
-          ++received;
-        }
-        done_ = true;
-        sim().Stop();
-        for (;;) wait();
-      });
-    }
-    bool done() const { return done_; }
-
-   private:
-    static std::string ToHex(std::uint32_t v) {
-      std::ostringstream os;
-      os << std::hex << v;
-      return os.str();
-    }
-    bool done_ = false;
-  };
-
-  LiHarness(Simulator& sim, unsigned messages)
-      : top(sim, "li"),
-        clk_a(sim, "clk_a", 1000),
-        clk_b(sim, "clk_b", 1300),
-        src(top, clk_a, messages),
-        src_q(top, "src_q", clk_a),
-        rt(top, "rt", clk_a),
-        rt_q(top, "rt_q", clk_a),
-        pack(top, "pack", clk_a),
-        link(top, "link", clk_a),
-        depack(top, "depack", clk_a),
-        cross(top, "cross", clk_a, clk_b),
-        snk(top, clk_b, messages) {
-    src.out(src_q);
-    rt.in(src_q);
-    rt.out(rt_q);
-    pack.in(rt_q);
-    pack.out(link);
-    depack.in(link);
-    depack.out(cross.producer_end());
-    snk.in(cross.consumer_end());
-  }
-
-  Module top;
-  Clock clk_a, clk_b;
-  Source src;
-  connections::Buffer<std::uint32_t> src_q;
-  connections::Retimer<std::uint32_t, 2> rt;
-  connections::Buffer<std::uint32_t> rt_q;
-  connections::Packetizer<std::uint32_t, kFlitBits> pack;
-  connections::Buffer<connections::Flit> link;
-  connections::DePacketizer<std::uint32_t, kFlitBits> depack;
-  gals::AsyncChannel<std::uint32_t> cross;
-  Sink snk;
-};
-
-void HarvestTransfers(const Simulator& sim, Fingerprint* fp) {
-  for (const auto& [name, c] : sim.stats().channels()) fp->transfers[name] = c.dequeues;
-  for (const auto& [name, x] : sim.stats().crossings())
-    fp->transfers[name + "#crossing"] = x.transfers;
-}
-
-void HarvestChaos(Simulator& sim, RunRecord* rec) {
-  rec->latency = sim.chaos().latency_totals();
-  rec->injections = sim.chaos().Injections();
-  rec->detections = sim.chaos().Detections();
-  rec->warnings = sim.chaos().config_warnings();
-}
-
-/// Runs `sim` until `done()` or until `progress()` has been flat for two
-/// 20 us chunks (~40k producer cycles) — the bounded-hang driver a drop
-/// fault needs: a lost token legitimately stalls the sink forever.
-bool RunQuiescent(Simulator& sim, const std::function<bool()>& done,
-                  const std::function<std::uint64_t()>& progress) {
-  std::uint64_t last = ~0ull;
-  int idle = 0;
-  while (!done() && idle < 2) {
-    sim.Run(20_us);
-    const std::uint64_t p = progress();
-    if (p == last) {
-      ++idle;
-    } else {
-      idle = 0;
-      last = p;
-    }
-  }
-  return done();
-}
-
-/// Hooks craft-pulse into a campaign simulator (pre-elaboration): heartbeat
-/// line per window, and — when the progress watchdog is armed — craft-trace
-/// events so a firing can dump the backpressure blame chain.
-void EnableCampaignPulse(Simulator& sim, const CampaignPulse* pulse,
-                         const std::string& label) {
-  if (pulse == nullptr || pulse->period_ps == 0) return;
-  PulseConfig cfg;
-  cfg.period_ps = pulse->period_ps;
-  cfg.progress_windows = pulse->progress_windows;
-  cfg.throughput_windows = 0;  // campaigns stall on purpose; rate alerts off
-  cfg.heartbeat = pulse->heartbeat;
-  cfg.heartbeat_label = label;
-  sim.pulse().Enable(cfg);
-  if (pulse->progress_windows > 0) {
-    sim.trace_events().Enable();
-    sim.pulse().set_blame_provider([](Simulator& s) {
-      return trace::FormatTable(trace::AttributeBackpressure(s, 5));
-    });
-  }
-}
-
-}  // namespace
-
-FaultPlan PipelineLatencyPlan(std::uint64_t seed) {
-  FaultPlan p;
-  p.seed = seed;
-  p.channel_valid_stall_prob = 0.15;
-  p.channel_ready_stall_prob = 0.10;
-  p.crossing_pause_prob = 0.25;
-  p.crossing_pause_max_cycles = 6;
-  p.retimer_delay_prob = 0.30;
-  p.retimer_delay_max_cycles = 4;
-  p.wakeup_delay_prob = 0.05;
-  return p;
-}
-
-FaultPlan SocLatencyPlan(std::uint64_t seed) {
-  // Milder rates than the pipeline plan: the SoC runs real workloads with a
-  // deadline, and every channel of the NoC rolls independently, so even a
-  // few percent per cycle yields thousands of injected stall cycles per run.
-  FaultPlan p;
-  p.seed = seed;
-  p.channel_valid_stall_prob = 0.04;
-  p.channel_ready_stall_prob = 0.03;
-  p.crossing_pause_prob = 0.10;
-  p.crossing_pause_max_cycles = 4;
-  p.retimer_delay_prob = 0.20;
-  p.retimer_delay_max_cycles = 3;
-  p.wakeup_delay_prob = 0.02;
-  return p;
-}
-
-RunRecord RunLiPipeline(const FaultPlan* plan, unsigned parallelism,
-                        unsigned messages, const std::string& label,
-                        const CampaignPulse* pulse, const CampaignHooks* hooks) {
-  RunRecord rec;
-  rec.label = label;
-  Simulator sim;
-  sim.stats().Enable();
-  EnableCampaignPulse(sim, pulse, "li_pipeline/" + label);
-  const bool corrupting = plan != nullptr && !plan->latency_only();
-  if (corrupting) sim.trace_events().Enable();
-  if (plan != nullptr) sim.chaos().Enable(*plan);
-  if (hooks != nullptr && hooks->pre_elaborate) hooks->pre_elaborate(sim);
-  if (parallelism >= 1) sim.SetParallelism(parallelism);
-  LiHarness h(sim, messages);
-  try {
-    RunQuiescent(
-        sim, [&] { return h.snk.done(); },
-        [&] { return h.snk.received; });
-  } catch (const SimError& e) {
-    rec.error = e.what();
-    if (corrupting) sim.chaos().ReportDetection("campaign", "sim-error", e.what());
-  }
-  rec.fp.ok = h.snk.done() && rec.error.empty();
-  rec.fp.cycles = h.clk_b.cycle();
-  rec.fp.digest = h.snk.digest;
-  HarvestTransfers(sim, &rec.fp);
-  if (!h.snk.done() && rec.error.empty()) {
-    rec.error = "sink stalled at " + std::to_string(h.snk.received) + "/" +
-                std::to_string(messages) + " messages";
-    if (corrupting) sim.chaos().ReportDetection("campaign", "shortfall", rec.error);
-  }
-  if (plan != nullptr) HarvestChaos(sim, &rec);
-  if (corrupting)
-    rec.blame = trace::FormatTable(trace::AttributeBackpressure(sim, 5));
-  if (hooks != nullptr && hooks->post_run) hooks->post_run(sim, label);
-  return rec;
-}
-
-RunRecord RunSocWorkload(const soc::SocConfig& cfg0, const std::string& workload,
-                         const FaultPlan* plan, unsigned parallelism,
-                         const std::string& label, const CampaignPulse* pulse,
-                         const CampaignHooks* hooks) {
-  RunRecord rec;
-  rec.label = label;
-  Simulator sim;
-  sim.stats().Enable();
-  EnableCampaignPulse(sim, pulse, workload + "/" + label);
-  const bool corrupting = plan != nullptr && !plan->latency_only();
-  if (corrupting) sim.trace_events().Enable();
-  if (plan != nullptr) sim.chaos().Enable(*plan);
-  if (hooks != nullptr && hooks->pre_elaborate) hooks->pre_elaborate(sim);
-  soc::SocConfig cfg = cfg0;
-  if (parallelism >= 1) cfg.parallelism = parallelism;
-  soc::SocTop soc(sim, cfg);
-  const auto all = soc::AllWorkloads();
-  const auto it = std::find_if(all.begin(), all.end(),
-                               [&](const soc::Workload& w) { return w.name == workload; });
-  CRAFT_ASSERT(it != all.end(), "unknown workload " << workload);
-  soc::WorkloadRun run;
-  try {
-    run = soc::RunWorkload(soc, *it, 50_ms);
-  } catch (const SimError& e) {
-    run.name = workload;
-    run.ok = false;
-    run.error = e.what();
-  }
-  rec.fp.ok = run.ok;
-  rec.fp.cycles = run.cycles;
-  rec.error = run.error;
-  std::uint64_t d = kFnvOffset;
-  for (std::uint32_t w = 0; w < soc::SocTop::Gm::SizeWords(); ++w)
-    d = Mix(d, soc.PeekGm(w));
-  rec.fp.digest = d;
-  HarvestTransfers(sim, &rec.fp);
-  if (corrupting && !run.ok)
-    sim.chaos().ReportDetection("campaign", "golden-divergence", run.error);
-  if (plan != nullptr) HarvestChaos(sim, &rec);
-  if (corrupting)
-    rec.blame = trace::FormatTable(trace::AttributeBackpressure(sim, 5));
-  if (hooks != nullptr && hooks->post_run) hooks->post_run(sim, label);
-  return rec;
-}
-
-namespace {
-
-/// Runs a non-SoC reference design (the GALS pipeline, an endless stream)
-/// for a fixed sim-time window; the fingerprint is the message set at the
-/// window edge. Usable for determinism / n-invariance oracles only — a
-/// latency fault legitimately changes in-window throughput.
-RunRecord RunRefWindow(const lint::RefDesign& design, const FaultPlan* plan,
-                       unsigned parallelism, const std::string& label,
-                       const CampaignPulse* pulse = nullptr,
-                       const CampaignHooks* hooks = nullptr) {
-  RunRecord rec;
-  rec.label = label;
-  Simulator sim;
-  sim.stats().Enable();
-  EnableCampaignPulse(sim, pulse, design.name + "/" + label);
-  if (plan != nullptr) sim.chaos().Enable(*plan);
-  if (hooks != nullptr && hooks->pre_elaborate) hooks->pre_elaborate(sim);
-  if (parallelism >= 1) sim.SetParallelism(parallelism);
-  const auto handle = design.build(sim);
-  sim.RunUntil(300_us);
-  rec.fp.ok = true;
-  HarvestTransfers(sim, &rec.fp);
-  if (plan != nullptr) HarvestChaos(sim, &rec);
-  if (hooks != nullptr && hooks->post_run) hooks->post_run(sim, label);
-  return rec;
+std::string BlameTable(Simulator& sim) {
+  return trace::FormatTable(trace::AttributeBackpressure(sim, 5));
 }
 
 void Fail(CampaignResult* c, const std::string& why) { c->failures.push_back(why); }
@@ -331,15 +26,14 @@ void Fail(CampaignResult* c, const std::string& why) { c->failures.push_back(why
 /// counts are schedule-dependent and only the output digest is invariant.
 void JudgeLatency(CampaignResult* c, const RunRecord* golden, const RunRecord& f1,
                   const RunRecord& f1r, const RunRecord* f4, bool compare_transfers) {
-  if (golden != nullptr) {
-    if (!golden->fp.ok) Fail(c, "golden run failed: " + golden->error);
-    if (!f1.fp.ok) Fail(c, "latency-fault run failed: " + f1.error);
-    if (golden->fp.ok && f1.fp.ok) {
-      if (f1.fp.digest != golden->fp.digest)
-        Fail(c, "LI-invariance: output digest diverged under latency-only faults");
-      if (compare_transfers && f1.fp.transfers != golden->fp.transfers)
-        Fail(c, "LI-invariance: per-channel message set changed under latency-only faults");
-    }
+  if (golden != nullptr && !golden->fp.ok)
+    Fail(c, "golden run failed: " + golden->error);
+  if (!f1.fp.ok) Fail(c, "latency-fault run failed: " + f1.error);
+  if (golden != nullptr && golden->fp.ok && f1.fp.ok) {
+    if (f1.fp.digest != golden->fp.digest)
+      Fail(c, "LI-invariance: output digest diverged under latency-only faults");
+    if (compare_transfers && f1.fp.transfers != golden->fp.transfers)
+      Fail(c, "LI-invariance: per-channel message set changed under latency-only faults");
   }
   if (!(f1.fp == f1r.fp)) Fail(c, "determinism: repeat run fingerprint differs");
   if (f4 != nullptr && !(f1.fp == f4->fp))
@@ -349,38 +43,91 @@ void JudgeLatency(CampaignResult* c, const RunRecord* golden, const RunRecord& f
 
 }  // namespace
 
+FaultPlan SocLatencyPlan(std::uint64_t seed) {
+  return session::LatencyPlan(session::Kind::kSocWorkload, seed);
+}
+
+RunRecord Run(session::Spec spec, const std::string& label,
+              cover::Database* cover, cover::RunInfo info) {
+  const bool corrupting = spec.faults && !spec.faults->latency_only();
+  spec.stats = true;  // the fingerprint's per-channel transfer counts
+  spec.trace = spec.trace || corrupting;
+  session::Session session(spec);
+  Simulator& sim = session.sim();
+  if (spec.pulse && spec.pulse->progress_windows > 0)
+    sim.pulse().set_blame_provider(BlameTable);
+  const session::Outcome out = session.Run();
+
+  RunRecord rec;
+  rec.label = label;
+  rec.fp.ok = out.ok;
+  rec.fp.cycles = out.cycles;
+  rec.fp.digest = out.digest;
+  rec.error = out.error;
+  for (const auto& [name, c] : sim.stats().channels())
+    rec.fp.transfers[name] = c.dequeues;
+  for (const auto& [name, x] : sim.stats().crossings())
+    rec.fp.transfers[name + "#crossing"] = x.transfers;
+  if (spec.faults) {
+    rec.latency = sim.chaos().latency_totals();
+    rec.injections = sim.chaos().Injections();
+    rec.detections = sim.chaos().Detections();
+    rec.warnings = sim.chaos().config_warnings();
+  }
+  if (corrupting) rec.blame = BlameTable(sim);
+  if (cover != nullptr) {
+    info.horizon_ps = sim.now();
+    cover::Collect(sim, info, cover);
+  }
+  return rec;
+}
+
 std::vector<CampaignResult> RunCampaigns(const CampaignConfig& config) {
   std::vector<CampaignResult> out;
   const unsigned msgs = std::max(16u, config.messages);
   const bool quick = config.scale == CampaignConfig::Scale::kQuick;
   const bool full = config.scale == CampaignConfig::Scale::kFull;
-  const CampaignPulse* hb =
-      config.pulse.period_ps > 0 ? &config.pulse : nullptr;
 
-  // Observer hooks, re-labelled per campaign so a post_run consumer (the
-  // craft-cover collector) sees globally unique "design/label" run names.
-  const bool hooked = static_cast<bool>(config.hooks.pre_elaborate) ||
-                      static_cast<bool>(config.hooks.post_run);
-  const auto qualify = [&config](const std::string& design) {
-    CampaignHooks h;
-    h.pre_elaborate = config.hooks.pre_elaborate;
-    if (config.hooks.post_run) {
-      h.post_run = [&config, design](Simulator& s, const std::string& label) {
-        config.hooks.post_run(s, design + "/" + label);
-      };
+  // One campaign run of a catalog design (SoC entries run `workload`) at `n`
+  // workers under `plan`; its coverage is filed as "<scope>/<label>", so
+  // every run of every campaign gets a unique id.
+  const auto run = [&](const std::string& scope, const std::string& design,
+                       const std::string& workload, const FaultPlan* plan,
+                       unsigned n, const std::string& label) {
+    session::Spec spec;
+    spec.design = design;
+    spec.workload = workload;
+    spec.parallelism = n;
+    spec.messages = msgs;
+    spec.cover = config.cover != nullptr;
+    if (plan != nullptr) spec.faults = *plan;
+    if (config.pulse.period_ps > 0) {
+      PulseConfig p;
+      p.period_ps = config.pulse.period_ps;
+      p.progress_windows = config.pulse.progress_windows;
+      p.throughput_windows = 0;  // campaigns stall on purpose; rate alerts off
+      p.heartbeat = config.pulse.heartbeat;
+      p.heartbeat_label = (workload.empty() ? design : workload) + "/" + label;
+      spec.pulse = p;
+      spec.trace = config.pulse.progress_windows > 0;  // for the blame chain
     }
-    return h;
+    cover::RunInfo info;
+    info.id = "chaos/s" + std::to_string(config.seed) + "/" + scope + "/" + label;
+    info.design = scope + "/" + label;
+    info.seed = config.seed;
+    info.parallelism = n;
+    info.chaos = "campaign";
+    return Run(spec, label, config.cover, info);
   };
 
   {
     CampaignResult c{"li_pipeline", "latency"};
-    const CampaignHooks hk = qualify(c.design);
-    const CampaignHooks* hkp = hooked ? &hk : nullptr;
-    const FaultPlan plan = PipelineLatencyPlan(config.seed);
-    c.runs.push_back(RunLiPipeline(nullptr, 1, msgs, "golden-n1", hb, hkp));
-    c.runs.push_back(RunLiPipeline(&plan, 1, msgs, "latency-n1", hb, hkp));
-    c.runs.push_back(RunLiPipeline(&plan, 1, msgs, "latency-n1-repeat", hb, hkp));
-    c.runs.push_back(RunLiPipeline(&plan, 4, msgs, "latency-n4", hb, hkp));
+    const FaultPlan plan =
+        session::LatencyPlan(session::Kind::kBoundedHarness, config.seed);
+    c.runs.push_back(run(c.design, c.design, "", nullptr, 1, "golden-n1"));
+    c.runs.push_back(run(c.design, c.design, "", &plan, 1, "latency-n1"));
+    c.runs.push_back(run(c.design, c.design, "", &plan, 1, "latency-n1-repeat"));
+    c.runs.push_back(run(c.design, c.design, "", &plan, 4, "latency-n4"));
     JudgeLatency(&c, &c.runs[0], c.runs[1], c.runs[2], &c.runs[3],
                  /*compare_transfers=*/true);
     out.push_back(std::move(c));
@@ -392,26 +139,24 @@ std::vector<CampaignResult> RunCampaigns(const CampaignConfig& config) {
     // applied (one injection) and something downstream caught it (at least
     // one detection) — silent propagation is the only failure.
     CampaignResult c{"li_pipeline", "corruption"};
-    const CampaignHooks hk = qualify("li_pipeline_corrupt");
-    const CampaignHooks* hkp = hooked ? &hk : nullptr;
     const unsigned trials =
         config.trials != 0 ? config.trials : (quick ? 6u : full ? 18u : 9u);
     for (unsigned k = 0; k < trials; ++k) {
       Rng r(config.seed * 1000003ull + k);
       CorruptionFault f;
-      f.channel = LiHarness::kLinkChannel;
+      f.channel = session::kLiLinkChannel;
       f.kind = k % 3 == 0   ? CorruptionFault::Kind::kBitFlip
                : k % 3 == 1 ? CorruptionFault::Kind::kDrop
                             : CorruptionFault::Kind::kDuplicate;
       // The link carries 2 flits per message; aim inside the steady stream.
       f.commit_index = 4 + r.NextBelow(2ull * msgs - 12);
-      f.bit = static_cast<unsigned>(r.NextBelow(LiHarness::kFlitBits));
+      f.bit = static_cast<unsigned>(r.NextBelow(session::kLiFlitBits));
       FaultPlan plan;
       plan.seed = config.seed;
       plan.corruptions = {f};
       const std::string label =
           "trial-" + std::to_string(k) + "-" + ToString(f.kind);
-      RunRecord rec = RunLiPipeline(&plan, 1, msgs, label, hb, hkp);
+      RunRecord rec = run("li_pipeline_corrupt", c.design, "", &plan, 1, label);
       if (rec.injections.empty())
         Fail(&c, label + ": scheduled corruption was never applied");
       if (rec.detections.empty())
@@ -423,12 +168,6 @@ std::vector<CampaignResult> RunCampaigns(const CampaignConfig& config) {
   }
 
   // SoC reference designs x workloads, plus the GALS pipeline window.
-  const auto designs = lint::ReferenceDesigns();
-  const auto find_design = [&](const std::string& name) -> const lint::RefDesign* {
-    for (const auto& d : designs)
-      if (d.name == name) return &d;
-    return nullptr;
-  };
   std::vector<std::pair<std::string, std::string>> soc_sel;
   const std::vector<std::string> full_workloads =
       config.workloads.empty()
@@ -444,42 +183,32 @@ std::vector<CampaignResult> RunCampaigns(const CampaignConfig& config) {
     soc_sel.emplace_back("soc_gals_io_2x2", base_workload);
     soc_sel.emplace_back("soc_gals_3x3", base_workload);
   }
+  const FaultPlan soc_plan = SocLatencyPlan(config.seed);
   for (const auto& [dname, wname] : soc_sel) {
-    const lint::RefDesign* d = find_design(dname);
-    if (d == nullptr || !d->soc_cfg.has_value()) continue;
     CampaignResult c{dname + ":" + wname, "latency"};
-    const CampaignHooks hk = qualify(c.design);
-    const CampaignHooks* hkp = hooked ? &hk : nullptr;
-    const FaultPlan plan = SocLatencyPlan(config.seed);
-    const bool gals = d->soc_cfg->gals;
-    c.runs.push_back(
-        RunSocWorkload(*d->soc_cfg, wname, nullptr, 1, "golden-n1", hb, hkp));
-    c.runs.push_back(
-        RunSocWorkload(*d->soc_cfg, wname, &plan, 1, "latency-n1", hb, hkp));
-    c.runs.push_back(
-        RunSocWorkload(*d->soc_cfg, wname, &plan, 1, "latency-n1-repeat", hb, hkp));
-    if (gals)
-      c.runs.push_back(
-          RunSocWorkload(*d->soc_cfg, wname, &plan, 4, "latency-n4", hb, hkp));
+    // Only a GALS mesh has clock-domain groups for four workers to split.
+    const bool gals = session::Find(dname)->soc->gals;
+    c.runs.push_back(run(c.design, dname, wname, nullptr, 1, "golden-n1"));
+    c.runs.push_back(run(c.design, dname, wname, &soc_plan, 1, "latency-n1"));
+    c.runs.push_back(run(c.design, dname, wname, &soc_plan, 1, "latency-n1-repeat"));
+    if (gals) c.runs.push_back(run(c.design, dname, wname, &soc_plan, 4, "latency-n4"));
     JudgeLatency(&c, &c.runs[0], c.runs[1], c.runs[2],
                  gals ? &c.runs[3] : nullptr, /*compare_transfers=*/false);
     out.push_back(std::move(c));
   }
 
   if (!quick) {
-    if (const lint::RefDesign* d = find_design("gals_pipeline")) {
-      // Endless stream, fixed window: determinism + n-invariance only.
-      CampaignResult c{"gals_pipeline", "latency"};
-      const CampaignHooks hk = qualify(c.design);
-      const CampaignHooks* hkp = hooked ? &hk : nullptr;
-      const FaultPlan plan = SocLatencyPlan(config.seed);
-      c.runs.push_back(RunRefWindow(*d, &plan, 1, "latency-n1", hb, hkp));
-      c.runs.push_back(RunRefWindow(*d, &plan, 1, "latency-n1-repeat", hb, hkp));
-      c.runs.push_back(RunRefWindow(*d, &plan, 4, "latency-n4", hb, hkp));
-      JudgeLatency(&c, nullptr, c.runs[0], c.runs[1], &c.runs[2],
-                   /*compare_transfers=*/false);
-      out.push_back(std::move(c));
-    }
+    // Endless stream, fixed window: determinism + n-invariance only — a
+    // latency fault legitimately changes in-window throughput.
+    CampaignResult c{"gals_pipeline", "latency"};
+    const FaultPlan plan =
+        session::LatencyPlan(session::Kind::kEndlessStream, config.seed);
+    c.runs.push_back(run(c.design, c.design, "", &plan, 1, "latency-n1"));
+    c.runs.push_back(run(c.design, c.design, "", &plan, 1, "latency-n1-repeat"));
+    c.runs.push_back(run(c.design, c.design, "", &plan, 4, "latency-n4"));
+    JudgeLatency(&c, nullptr, c.runs[0], c.runs[1], &c.runs[2],
+                 /*compare_transfers=*/false);
+    out.push_back(std::move(c));
   }
 
   return out;

@@ -13,33 +13,23 @@
 //    must surface at least one detection event (framing checks, payload
 //    oracle, golden divergence, hang) and a craft-trace blame attribution,
 //    never propagate silently.
+//
+// Every run goes through one session::Session (chaos::Run); a campaign only
+// picks the catalog designs, plans and worker counts, and judges the records.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "cover/cover.hpp"
 #include "kernel/chaos.hpp"
 #include "kernel/time.hpp"
-#include "soc/soc.hpp"
+#include "session/session.hpp"
 
 namespace craft::chaos {
-
-/// Optional per-run callbacks for observers that need their registries armed
-/// before elaboration and a snapshot after the run — the craft-cover glue,
-/// without making the chaos library depend on src/cover. `pre_elaborate`
-/// fires after the campaign's own Enable calls (stats/pulse/chaos), before
-/// any module is constructed; `post_run` fires after the run's results are
-/// harvested, while the Simulator is still alive. The label is the run's
-/// campaign-local label ("golden-n1", "corrupt-drop", ...); callers that run
-/// several designs qualify it themselves (RunCampaigns prefixes the design).
-struct CampaignHooks {
-  std::function<void(Simulator&)> pre_elaborate;
-  std::function<void(Simulator&, const std::string& label)> post_run;
-};
 
 /// Optional craft-pulse hookup for campaign runs (the nightly heartbeat):
 /// with period_ps > 0 every campaign simulator samples pulse windows at that
@@ -95,31 +85,24 @@ struct CampaignConfig {
   unsigned trials = 0;      ///< corruption trials; 0 = scale default
   std::vector<std::string> workloads;  ///< SoC workload filter; empty = scale default
   CampaignPulse pulse;      ///< live telemetry / watchdog hookup (off by default)
-  CampaignHooks hooks;      ///< per-run observer callbacks (craft-cover glue)
+  /// When set, every run's coverage is collected into it under the run id
+  /// "chaos/s<seed>/<campaign>/<label>".
+  cover::Database* cover = nullptr;
 };
 
-/// The latency-only plan a campaign arms for the LI pipeline harness
-/// (aggressive: every fault class at once) and for the SoC / GALS designs
-/// (milder rates so faulted runs stay within the workload deadline).
-FaultPlan PipelineLatencyPlan(std::uint64_t seed);
+/// The latency-only plan a campaign arms on the SoC and GALS designs:
+/// session::LatencyPlan for a SoC workload.
 FaultPlan SocLatencyPlan(std::uint64_t seed);
 
-/// Runs the LI pipeline harness (source -> retimer -> packetizer -> flit
-/// link -> depacketizer -> pausible crossing -> checking sink) once.
-/// `plan == nullptr` is the fault-free golden run; `pulse == nullptr` (or a
-/// zero period) runs without live telemetry.
-RunRecord RunLiPipeline(const FaultPlan* plan, unsigned parallelism,
-                        unsigned messages, const std::string& label,
-                        const CampaignPulse* pulse = nullptr,
-                        const CampaignHooks* hooks = nullptr);
-
-/// Runs one SoC workload under `cfg` with the fault plan armed. The digest
-/// covers the full global-memory image after the golden check.
-RunRecord RunSocWorkload(const soc::SocConfig& cfg, const std::string& workload,
-                         const FaultPlan* plan, unsigned parallelism,
-                         const std::string& label,
-                         const CampaignPulse* pulse = nullptr,
-                         const CampaignHooks* hooks = nullptr);
+/// Runs `spec` once through a session::Session and harvests the record: the
+/// fingerprint (stats are armed for its transfer counts), the chaos logs
+/// and, under a corrupting plan, the craft-trace backpressure blame table
+/// (trace events are armed for it). With pulse's
+/// progress watchdog armed, a firing carries the same blame chain. With
+/// `cover` set, the run's coverage is collected into it as `info`, its
+/// horizon filled in, while the simulator is still alive.
+RunRecord Run(session::Spec spec, const std::string& label,
+              cover::Database* cover = nullptr, cover::RunInfo info = {});
 
 /// Runs every campaign selected by `config`. Deterministic per
 /// (seed, scale, messages, trials, workloads).

@@ -13,7 +13,6 @@
 #include "chaos/campaign.hpp"
 #include "cover/cover.hpp"
 #include "kernel/report.hpp"
-#include "kernel/simulator.hpp"
 #include "support/cli.hpp"
 
 namespace {
@@ -76,58 +75,26 @@ int main(int argc, char** argv) try {
   if (quick) config.scale = CampaignConfig::Scale::kQuick;
   if (full) config.scale = CampaignConfig::Scale::kFull;
 
-  std::FILE* hb_file = nullptr;
   if (heartbeat) {
     if (config.pulse.period_ps == 0) config.pulse.period_ps = 10'000'000;
-    if (heartbeat_path.empty()) {
-      config.pulse.heartbeat = stderr;
-    } else {
-      hb_file = std::fopen(heartbeat_path.c_str(), "a");
-      if (hb_file == nullptr) {
-        std::fprintf(stderr, "craft_chaos: cannot write heartbeat file %s\n",
-                     heartbeat_path.c_str());
-        return 2;
-      }
-      config.pulse.heartbeat = hb_file;
-    }
+    config.pulse.heartbeat = craft::cli::OpenLog("craft_chaos", heartbeat_path, "a");
+    if (config.pulse.heartbeat == nullptr) return 2;
   } else if (config.pulse.period_ps > 0 || config.pulse.progress_windows > 0) {
     // Watchdogs without a log: sample windows but stay quiet.
     if (config.pulse.period_ps == 0) config.pulse.period_ps = 10'000'000;
   }
 
-  // Coverage piggy-backs on the campaign via the observer hooks: the cover
-  // registry is armed before each run's elaboration and harvested after it,
-  // one run-id per design-qualified campaign label.
+  // Coverage piggy-backs on the campaign: every run arms the cover registry
+  // and is collected under its design-qualified campaign label.
   craft::cover::Database cover_db;
-  if (!cover_path.empty()) {
-    config.hooks.pre_elaborate = [](craft::Simulator& sim) {
-      sim.cover().Enable();
-    };
-    config.hooks.post_run = [&config, &cover_db](craft::Simulator& sim,
-                                                 const std::string& label) {
-      craft::cover::RunInfo r;
-      r.id = "chaos/s" + std::to_string(config.seed) + "/" + label;
-      r.design = label;
-      r.seed = config.seed;
-      r.chaos = "campaign";
-      r.horizon_ps = sim.now();
-      // Campaign labels encode the parallelism level ("latency-n4").
-      if (const auto pos = label.rfind("-n"); pos != std::string::npos) {
-        const unsigned long v = std::strtoul(label.c_str() + pos + 2, nullptr, 10);
-        if (v >= 1 && v <= 64) r.parallelism = static_cast<unsigned>(v);
-      }
-      craft::cover::Collect(sim, r, &cover_db);
-    };
-  }
+  if (!cover_path.empty()) config.cover = &cover_db;
 
   const auto results = craft::chaos::RunCampaigns(config);
   const unsigned failures = craft::chaos::FailureCount(results);
 
   if (!cover_path.empty() &&
-      !craft::cli::WriteFile(cover_path, craft::cover::FormatJson(cover_db))) {
-    std::fprintf(stderr, "craft_chaos: cannot write %s\n", cover_path.c_str());
+      !craft::cli::Emit("craft_chaos", cover_path, craft::cover::FormatJson(cover_db)))
     return 2;
-  }
 
   // With --json to stdout, the JSON document must be the only thing there.
   std::FILE* text_out = (json && json_path.empty()) ? stderr : stdout;
@@ -141,16 +108,10 @@ int main(int argc, char** argv) try {
                      c.mode.c_str(), f.c_str());
   }
 
-  if (json) {
-    const std::string doc = craft::chaos::FormatJson(config, results);
-    if (json_path.empty()) {
-      std::fputs(doc.c_str(), stdout);
-    } else if (!craft::cli::WriteFile(json_path, doc)) {
-      std::fprintf(stderr, "craft_chaos: cannot write %s\n", json_path.c_str());
-      return 2;
-    }
-  }
-  if (hb_file != nullptr) std::fclose(hb_file);
+  if (json && !craft::cli::Emit("craft_chaos", json_path,
+                                 craft::chaos::FormatJson(config, results)))
+    return 2;
+  craft::cli::CloseLog(config.pulse.heartbeat);
   return failures > 0 ? 1 : 0;
 } catch (const craft::SimError& e) {
   // A SimError the run raised is a finding: one line, exit 1 (README "Exit codes").

@@ -9,9 +9,10 @@
 //   craft_cover report [--format text|json|markdown] FILE...
 //   craft_cover diff [--markdown] BASELINE CURRENT
 //
-//   run     executes the selected workloads with the cover registry armed
-//           (default: li_pipeline + gals_pipeline + soc_gals_2x2; --all runs
-//           every reference design) and writes one craft-cover-v1 document.
+//   run     executes the selected catalog designs with the cover registry
+//           armed (default: li_pipeline + gals_pipeline + soc_gals_2x2; --all
+//           runs every design --list prints) and writes one craft-cover-v1
+//           document.
 //           With several workloads the emitter self-checks merge order:
 //           forward and reverse merges must be byte-identical.
 //   merge   unions craft-cover-v1 shards. Two shards that disagree about the
@@ -31,6 +32,7 @@
 #include "cover/cover.hpp"
 #include "cover/runner.hpp"
 #include "kernel/report.hpp"
+#include "session/session.hpp"
 #include "support/cli.hpp"
 
 namespace {
@@ -61,14 +63,6 @@ bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
-bool WriteOutput(const std::string& path, const std::string& text) {
-  if (path.empty() || path == "-") {
-    std::fputs(text.c_str(), stdout);
-    return true;
-  }
-  return craft::cli::WriteFile(path, text);
-}
-
 /// Loads and parses one craft-cover-v1 file; returns false (with a message
 /// on stderr) on failure.
 bool Load(const std::string& path, Database* db) {
@@ -95,8 +89,7 @@ int CmdRun(int argc, char** argv) {
   p.StrList("--design", &designs);
   p.Flag("--all", &all);
   p.Action("--list", [] {
-    for (const auto& d : craft::cover::RunnableDesigns())
-      std::printf("%s\n", d.c_str());
+    for (const auto& e : craft::session::Catalog()) std::printf("%s\n", e.name.c_str());
   });
   p.U64("--seed", &opt.seed);
   p.U32("--parallelism", &opt.parallelism);
@@ -106,10 +99,11 @@ int CmdRun(int argc, char** argv) {
   p.Alias("-o", "--output");
   if (auto st = p.Parse(argc, argv); st != craft::cli::Status::kContinue)
     return craft::cli::ExitCode(st);
-  if (designs.empty())
-    designs = all ? craft::cover::RunnableDesigns()
-                  : std::vector<std::string>{"li_pipeline", "gals_pipeline",
-                                             "soc_gals_2x2"};
+  if (designs.empty() && all) {
+    for (const auto& e : craft::session::Catalog()) designs.push_back(e.name);
+  } else if (designs.empty()) {
+    designs = {"li_pipeline", "gals_pipeline", "soc_gals_2x2"};
+  }
 
   // One database per workload, so the emitter can self-check that merge
   // order cannot matter before anything is written.
@@ -141,10 +135,7 @@ int CmdRun(int argc, char** argv) {
                  "(commutativity self-check failed)\n");
     return 2;
   }
-  if (!WriteOutput(out_path, doc)) {
-    std::fprintf(stderr, "craft_cover: cannot write %s\n", out_path.c_str());
-    return 2;
-  }
+  if (!craft::cli::Emit("craft_cover", out_path, doc)) return 2;
   std::fputs(craft::cover::FormatText(forward).c_str(), stderr);
   return 0;
 }
@@ -171,11 +162,9 @@ int CmdMerge(int argc, char** argv) {
       return 2;
     }
   }
-  if (!WriteOutput(out_path, craft::cover::FormatJson(merged))) {
-    std::fprintf(stderr, "craft_cover: cannot write %s\n", out_path.c_str());
-    return 2;
-  }
-  return 0;
+  return craft::cli::Emit("craft_cover", out_path, craft::cover::FormatJson(merged))
+             ? 0
+             : 2;
 }
 
 int CmdReport(int argc, char** argv) {

@@ -2,25 +2,18 @@
 
 #include <algorithm>
 
-#include "chaos/campaign.hpp"
-#include "kernel/kernel.hpp"
 #include "kernel/rng.hpp"
-#include "lint/ref_designs.hpp"
+#include "session/session.hpp"
 
 namespace craft::cover {
 
-using namespace craft::literals;
-
 namespace {
 
-/// The corruption plan `craft_cover run --chaos=corrupt` arms for the LI
-/// pipeline: one fault of each kind along the flit link, spaced through the
-/// steady stream, so the depacketizer's discard / orphan / head-resync bins
-/// are reachable in a single run. Channel name and flit width match the
-/// campaign's LiHarness (16-bit flits, 2 flits per message on "li.link").
+/// The corruption plan `craft_cover run --chaos=corrupt` arms on the LI
+/// pipeline harness: one fault of each kind along its flit link, spaced
+/// through the steady stream, so the depacketizer's discard / orphan /
+/// head-resync bins are reachable in a single run.
 FaultPlan PipelineCorruptPlan(std::uint64_t seed, unsigned messages) {
-  constexpr const char* kLinkChannel = "li.link";
-  constexpr unsigned kFlitBits = 16;
   FaultPlan plan;
   plan.seed = seed;
   Rng r(seed * 1000003ull + 7);
@@ -31,61 +24,18 @@ FaultPlan PipelineCorruptPlan(std::uint64_t seed, unsigned messages) {
   std::uint64_t index = 4;
   for (const auto kind : kinds) {
     CorruptionFault f;
-    f.channel = kLinkChannel;
+    f.channel = session::kLiLinkChannel;
     f.kind = kind;
     // Spaced appointments in increasing commit order, well inside the stream.
     index += 2 + r.NextBelow(std::max<std::uint64_t>(flits / 4, 2));
     f.commit_index = std::min<std::uint64_t>(index, flits - 4);
-    f.bit = static_cast<unsigned>(r.NextBelow(kFlitBits));
+    f.bit = static_cast<unsigned>(r.NextBelow(session::kLiFlitBits));
     plan.corruptions.push_back(f);
   }
   return plan;
 }
 
-/// Builds the CampaignHooks pair that arms the cover registry before
-/// elaboration and harvests into `db` after the run.
-chaos::CampaignHooks CollectHooks(const RunInfo& info, Database* db,
-                                  std::string* error) {
-  chaos::CampaignHooks hooks;
-  hooks.pre_elaborate = [](Simulator& sim) { sim.cover().Enable(); };
-  hooks.post_run = [info, db, error](Simulator& sim, const std::string&) {
-    RunInfo r = info;
-    r.horizon_ps = sim.now();
-    if (db->runs.find(r.id) != db->runs.end())
-      *error = "run '" + r.id + "' already present in database";
-    else
-      Collect(sim, r, db);
-  };
-  return hooks;
-}
-
-std::string RunGalsPipeline(const lint::RefDesign& design, const RunOptions& opt,
-                            const FaultPlan* plan, const RunInfo& info,
-                            Database* db) {
-  // Mirrors the chaos campaign's fixed-window treatment of the endless GALS
-  // stream: elaborate, run to a sim-time horizon, harvest at the edge.
-  Simulator sim;
-  sim.stats().Enable();
-  if (plan != nullptr) sim.chaos().Enable(*plan);
-  sim.cover().Enable();
-  if (opt.parallelism >= 1) sim.SetParallelism(opt.parallelism);
-  const auto handle = design.build(sim);
-  sim.RunUntil(300_us);
-  RunInfo r = info;
-  r.horizon_ps = sim.now();
-  if (db->runs.find(r.id) != db->runs.end())
-    return "run '" + r.id + "' already present in database";
-  Collect(sim, r, db);
-  return "";
-}
-
 }  // namespace
-
-std::vector<std::string> RunnableDesigns() {
-  std::vector<std::string> out{"li_pipeline"};
-  for (const auto& d : lint::ReferenceDesigns()) out.push_back(d.name);
-  return out;
-}
 
 std::string RunDesign(const std::string& design, const RunOptions& opt,
                       Database* db) {
@@ -93,11 +43,21 @@ std::string RunDesign(const std::string& design, const RunOptions& opt,
   if (!opt.chaos.empty() && opt.chaos != "latency" && opt.chaos != "corrupt")
     return "unknown chaos mode '" + opt.chaos + "' (want latency or corrupt)";
 
-  std::string name = design;
-  std::string workload = "vecmul";
-  if (const auto colon = design.find(':'); colon != std::string::npos) {
-    name = design.substr(0, colon);
-    workload = design.substr(colon + 1);
+  session::Spec spec;
+  const std::size_t colon = design.find(':');
+  spec.design = design.substr(0, colon);
+  if (colon != std::string::npos) spec.workload = design.substr(colon + 1);
+  spec.parallelism = opt.parallelism;
+  spec.messages = std::max(16u, opt.messages);
+  spec.stats = true;
+  spec.cover = true;
+  if (const std::string err = session::Validate(spec); !err.empty()) return err;
+  const session::Kind kind = session::Find(spec.design)->kind;
+  if (opt.chaos == "latency") spec.faults = session::LatencyPlan(kind, opt.seed);
+  if (opt.chaos == "corrupt") {
+    if (kind != session::Kind::kBoundedHarness)
+      return "chaos mode 'corrupt' is only supported for li_pipeline";
+    spec.faults = PipelineCorruptPlan(opt.seed, spec.messages);
   }
 
   RunInfo info;
@@ -106,55 +66,18 @@ std::string RunDesign(const std::string& design, const RunOptions& opt,
   info.parallelism = opt.parallelism;
   info.chaos = opt.chaos;
   info.id = MakeRunId(design, opt.seed, opt.parallelism, opt.chaos);
-  std::string hook_error;
+  if (db->runs.find(info.id) != db->runs.end())
+    return "run '" + info.id + "' already present in database";
 
-  if (name == "li_pipeline") {
-    FaultPlan plan;
-    const FaultPlan* pp = nullptr;
-    if (opt.chaos == "latency") {
-      plan = chaos::PipelineLatencyPlan(opt.seed);
-      pp = &plan;
-    } else if (opt.chaos == "corrupt") {
-      plan = PipelineCorruptPlan(opt.seed, std::max(16u, opt.messages));
-      pp = &plan;
-    }
-    const chaos::CampaignHooks hooks = CollectHooks(info, db, &hook_error);
-    const chaos::RunRecord rec = chaos::RunLiPipeline(
-        pp, opt.parallelism, std::max(16u, opt.messages), "cover", nullptr,
-        &hooks);
-    if (!hook_error.empty()) return hook_error;
-    // A corruption run legitimately ends in a detection, not a clean sink;
-    // only fault-free and latency-only runs must complete.
-    if (opt.chaos != "corrupt" && !rec.fp.ok)
-      return "li_pipeline run failed: " + rec.error;
-    return "";
-  }
-
-  const auto designs = lint::ReferenceDesigns();
-  const auto it = std::find_if(designs.begin(), designs.end(),
-                               [&](const lint::RefDesign& d) { return d.name == name; });
-  if (it == designs.end())
-    return "unknown design '" + name + "' (see craft_cover run --list)";
-  if (opt.chaos == "corrupt")
-    return "chaos mode 'corrupt' is only supported for li_pipeline";
-
-  FaultPlan plan;
-  const FaultPlan* pp = nullptr;
-  if (opt.chaos == "latency") {
-    plan = chaos::SocLatencyPlan(opt.seed);
-    pp = &plan;
-  }
-
-  if (!it->soc_cfg.has_value())
-    return RunGalsPipeline(*it, opt, pp, info, db);
-
-  const chaos::CampaignHooks hooks = CollectHooks(info, db, &hook_error);
-  const chaos::RunRecord rec = chaos::RunSocWorkload(
-      *it->soc_cfg, workload, pp, opt.parallelism, "cover", nullptr, &hooks);
-  if (!hook_error.empty()) return hook_error;
-  if (!rec.fp.ok)
+  session::Session s(spec);
+  const session::Outcome out = s.Run();
+  info.horizon_ps = s.sim().now();
+  Collect(s.sim(), info, db);
+  // A corruption run legitimately ends in a detection, not a clean sink;
+  // every other run must complete.
+  if (opt.chaos != "corrupt" && !out.ok)
     return design + " run failed: " +
-           (rec.error.empty() ? "workload did not complete" : rec.error);
+           (out.error.empty() ? "workload did not complete" : out.error);
   return "";
 }
 

@@ -20,7 +20,6 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -156,8 +155,8 @@ bool AggregateChaos(const std::string& text, ChaosTotals* t) {
 
 int main(int argc, char** argv) try {
   std::vector<std::string> designs;
-  std::vector<std::string> seeds_text;
-  std::vector<std::string> pars_text;
+  std::vector<std::uint64_t> seeds;
+  std::vector<std::uint64_t> pars;
   std::vector<std::string> chaos_modes;
   std::vector<std::string> instruments;
   std::vector<std::string> waivers;
@@ -176,8 +175,8 @@ int main(int argc, char** argv) try {
 
   cli::Parser p("craft_farm", kUsage);
   p.StrList("--design", &designs);
-  p.StrList("--seed", &seeds_text);
-  p.StrList("--parallelism", &pars_text);
+  p.U64List("--seed", &seeds);
+  p.U64List("--parallelism", &pars);
   p.StrList("--chaos", &chaos_modes);
   p.StrList("--instrument", &instruments);
   p.U32("--messages", &messages);
@@ -198,30 +197,16 @@ int main(int argc, char** argv) try {
   if (auto st = p.Parse(argc, argv); st != cli::Status::kContinue)
     return cli::ExitCode(st);
 
-  // Axis defaults, plus strict numeric parsing for the repeatable axes.
+  // Axis defaults.
   if (designs.empty()) designs = {"li_pipeline", "gals_pipeline"};
-  if (seeds_text.empty()) seeds_text = {"1"};
-  if (pars_text.empty()) pars_text = {"1"};
+  if (seeds.empty()) seeds = {1};
+  if (pars.empty()) pars = {1};
   if (chaos_modes.empty()) chaos_modes = {"none"};
   if (instruments.empty()) instruments = {"cover"};
-  std::vector<std::uint64_t> seeds;
-  for (const std::string& s : seeds_text) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-    if (s.empty() || *end != '\0' || s[0] == '-')
-      return cli::ExitCode(
-          p.UsageError("--seed wants an unsigned integer, got '" + s + "'"));
-    seeds.push_back(v);
-  }
-  std::vector<unsigned> pars;
-  for (const std::string& s : pars_text) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(s.c_str(), &end, 0);
-    if (s.empty() || *end != '\0' || s[0] == '-' || v == 0 || v > 64)
-      return cli::ExitCode(
-          p.UsageError("--parallelism wants 1..64, got '" + s + "'"));
-    pars.push_back(static_cast<unsigned>(v));
-  }
+  for (const std::uint64_t n : pars)
+    if (n == 0 || n > 64)
+      return cli::ExitCode(p.UsageError("--parallelism wants 1..64, got '" +
+                                        std::to_string(n) + "'"));
   for (const std::string& m : chaos_modes)
     if (m != "none" && m != "latency" && m != "corrupt")
       return cli::ExitCode(p.UsageError(
@@ -237,19 +222,9 @@ int main(int argc, char** argv) try {
   if (cover_bin.empty()) cover_bin = FindTool("cover", "craft_cover");
   if (chaos_bin.empty()) chaos_bin = FindTool("chaos", "craft_chaos");
 
-  std::FILE* progress_file = nullptr;
   if (progress) {
-    if (progress_path.empty()) {
-      policy.progress = stderr;
-    } else {
-      progress_file = std::fopen(progress_path.c_str(), "a");
-      if (progress_file == nullptr) {
-        std::fprintf(stderr, "craft_farm: cannot write progress file %s\n",
-                     progress_path.c_str());
-        return 2;
-      }
-      policy.progress = progress_file;
-    }
+    policy.progress = cli::OpenLog("craft_farm", progress_path, "a");
+    if (policy.progress == nullptr) return 2;
   }
 
   // mkdir -p for the artifact dir (one level is enough for the default).
@@ -269,7 +244,7 @@ int main(int argc, char** argv) try {
     if (inst == "cover") {
       for (const std::string& d : designs)
         for (const std::uint64_t seed : seeds)
-          for (const unsigned par : pars)
+          for (const std::uint64_t par : pars)
             for (const std::string& mode : chaos_modes) {
               farm::TrialSpec t;
               t.kind = "cover";
@@ -310,7 +285,7 @@ int main(int argc, char** argv) try {
   }
 
   const std::vector<farm::TrialResult> results = farm::Run(trials, policy);
-  if (progress_file != nullptr) std::fclose(progress_file);
+  cli::CloseLog(policy.progress);
 
   // Aggregate: merge cover shards in spec order; fold chaos verdicts.
   cover::Database merged;
@@ -349,10 +324,8 @@ int main(int argc, char** argv) try {
       }
     }
   }
-  if (have_cover && !cli::WriteFile(cover_out, cover::FormatJson(merged))) {
-    std::fprintf(stderr, "craft_farm: cannot write %s\n", cover_out.c_str());
+  if (have_cover && !cli::Emit("craft_farm", cover_out, cover::FormatJson(merged)))
     return 2;
-  }
 
   // Tally + gate. Waived trials are reported but never gate the exit code.
   std::uint64_t n_ok = 0, n_failed = 0, n_timeout = 0, n_cancelled = 0;
@@ -475,10 +448,7 @@ int main(int argc, char** argv) try {
   w.Raw(",\n  ").Key("gated").Bool(gated);
   w.Raw("\n}\n");
 
-  if (!cli::WriteFile(manifest_path, w.str())) {
-    std::fprintf(stderr, "craft_farm: cannot write %s\n", manifest_path.c_str());
-    return 2;
-  }
+  if (!cli::Emit("craft_farm", manifest_path, w.str())) return 2;
 
   if (!quiet) {
     std::fprintf(stderr,

@@ -1,4 +1,4 @@
-// craft_lint: elaborate the repo's reference designs and run the full
+// craft_lint: elaborate every session::Catalog() design and run the full
 // design-rule suite over each one — the "run after elaboration, before
 // simulation" step of the flow. Exits non-zero iff any design has findings
 // at or above the --fail-on threshold (default: error), so it can gate CI
@@ -13,7 +13,7 @@
 #include "hls/scheduler.hpp"
 #include "kernel/kernel.hpp"
 #include "lint/lint.hpp"
-#include "lint/ref_designs.hpp"
+#include "session/session.hpp"
 #include "support/cli.hpp"
 
 namespace {
@@ -83,14 +83,14 @@ int main(int argc, char** argv) try {
   std::vector<Report> reports;
   std::vector<bool> used_any(opts.suppressions.size(), false);
 
-  // The prototype SoC configurations and the GALS pipeline (paper Fig. 5).
-  // Each design elaborates into a fresh simulator; lint never runs it.
-  for (const lint::RefDesign& d : lint::ReferenceDesigns()) {
-    Simulator sim;
-    const auto handle = d.build(sim);
+  // Every catalog design (the prototype SoC configurations of paper Fig. 5,
+  // the GALS and LI pipelines, the NoC chain), each elaborated into its own
+  // session; lint never runs it.
+  for (const session::Entry& e : session::Catalog()) {
+    const session::Session s(session::Spec{.design = e.name});
     std::vector<bool> used;
-    reports.emplace_back(d.name,
-                         lint::CheckDesignGraph(sim.design_graph(), opts, &used));
+    reports.emplace_back(e.name,
+                         lint::CheckDesignGraph(s.sim().design_graph(), opts, &used));
     OrUsed(used_any, used);
   }
 
@@ -144,21 +144,12 @@ int main(int argc, char** argv) try {
   std::fprintf(text_out, "craft_lint: %zu designs, %d errors, %d warnings\n",
                reports.size(), errors, warnings);
 
-  if (json) {
-    const std::string doc = lint::FormatJson(reports);
-    if (json_path.empty()) {
-      std::fputs(doc.c_str(), stdout);
-    } else if (!cli::WriteFile(json_path, doc)) {
-      std::fprintf(stderr, "craft_lint: cannot write %s\n", json_path.c_str());
-      return 2;
-    }
-  }
-  if (!sarif_path.empty() &&
-      !cli::WriteFile(sarif_path,
-                      lint::FormatSarif("craft-lint", cli::kToolVersion, reports))) {
-    std::fprintf(stderr, "craft_lint: cannot write %s\n", sarif_path.c_str());
+  if (json && !cli::Emit("craft_lint", json_path, lint::FormatJson(reports)))
     return 2;
-  }
+  if (!sarif_path.empty() &&
+      !cli::Emit("craft_lint", sarif_path,
+                 lint::FormatSarif("craft-lint", cli::kToolVersion, reports)))
+    return 2;
   return gating > 0 ? 1 : 0;
 } catch (const craft::SimError& e) {
   // A SimError the run raised is a finding: one line, exit 1 (README "Exit codes").

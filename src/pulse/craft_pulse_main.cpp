@@ -1,97 +1,31 @@
-// craft_pulse: live time-series telemetry over the reference designs. Runs
-// one design with the craft-pulse sampler enabled, arms the throughput
-// watchdog with craft-prove's static channel bounds, and emits the sampled
-// timeline as craft-pulse-v1 JSON and/or OpenMetrics text — the dynamic
-// counterpart to craft_prove's static report and craft_stats' end-of-run
-// aggregates.
+// craft_pulse: live time-series telemetry over the catalog designs. Runs
+// one session::Catalog() design with the craft-pulse sampler enabled, arms
+// the throughput watchdog with craft-prove's static channel bounds, and
+// emits the sampled timeline as craft-pulse-v1 JSON and/or OpenMetrics text
+// — the dynamic counterpart to craft_prove's static report and craft_stats'
+// end-of-run aggregates.
 //
 // Exits non-zero when the built-in cross-check fails: windowed series must
-// reconcile exactly with the craft-stats end-of-run aggregates (base +
-// deltas == aggregate at a boundary-aligned horizon; mean windowed rate
-// within 1% of the aggregate rate), saturating fault-free runs must keep
-// every watchdog silent, and --chaos runs must fire the throughput watchdog.
+// reconcile with the craft-stats end-of-run aggregates (on endless streams
+// exactly: base + deltas == aggregate at a boundary-aligned horizon, mean
+// windowed rate within 1% of the aggregate rate), fault-free runs must keep
+// every watchdog silent, and --chaos runs on endless streams must fire the
+// throughput watchdog.
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "analyze/analyze.hpp"
-#include "connections/packetizer.hpp"
 #include "kernel/kernel.hpp"
-#include "lint/ref_designs.hpp"
-#include "matchlib/routers.hpp"
 #include "pulse/report.hpp"
+#include "session/session.hpp"
 #include "support/cli.hpp"
-#include "soc/workloads.hpp"
 
 namespace {
 
 using namespace craft;
-using namespace craft::literals;
-
-/// A saturating 4-hop wormhole NoC chain (the bench/noc_routers topology
-/// with endless traffic): source floods 8-flit packets, sink drains, every
-/// link runs near its structural 1-flit-per-cycle bound. The workload the
-/// acceptance cross-check (windowed rates vs aggregates) runs on.
-struct NocChain {
-  static constexpr unsigned kHops = 4;
-  static constexpr unsigned kFlitsPerPacket = 8;
-  using Router = matchlib::WHVCRouter<2, 1>;
-
-  struct Tb : Module {
-    Tb(Module& parent, Clock& clk, connections::Buffer<connections::Flit>& inj,
-       connections::Buffer<connections::Flit>& ej)
-        : Module(parent, "tb") {
-      Thread("src", clk, [&inj] {
-        for (std::uint64_t pkt = 0;; ++pkt) {
-          for (unsigned i = 0; i < kFlitsPerPacket; ++i) {
-            connections::Flit f;
-            f.payload = (pkt << 8) | i;
-            f.first = (i == 0);
-            f.last = (i + 1 == kFlitsPerPacket);
-            f.dest = 0;
-            inj.Push(f);
-          }
-        }
-      });
-      Thread("dst", clk, [&ej] {
-        for (;;) (void)ej.Pop();
-      });
-    }
-  };
-
-  explicit NocChain(Simulator& sim)
-      : clk(sim, "clk", 1_ns),
-        top(sim, "top"),
-        inj(top, "inj", clk, 4),
-        ej(top, "ej", clk, 4) {
-    for (unsigned h = 0; h < kHops; ++h) {
-      const bool last = (h + 1 == kHops);
-      routers.push_back(std::make_unique<Router>(
-          top, "r" + std::to_string(h), clk,
-          [last](std::uint8_t) { return last ? 0u : 1u; }));
-    }
-    routers[0]->in[0][0](inj);
-    for (unsigned h = 0; h + 1 < kHops; ++h) {
-      links.push_back(std::make_unique<connections::Buffer<connections::Flit>>(
-          top, "l" + std::to_string(h), clk, 2));
-      routers[h]->out[1][0](*links.back());
-      routers[h + 1]->in[1][0](*links.back());
-    }
-    routers[kHops - 1]->out[0][0](ej);
-    tb = std::make_unique<Tb>(top, clk, inj, ej);
-  }
-
-  Clock clk;
-  Module top;
-  connections::Buffer<connections::Flit> inj, ej;
-  std::vector<std::unique_ptr<Router>> routers;
-  std::vector<std::unique_ptr<connections::Buffer<connections::Flit>>> links;
-  std::unique_ptr<Tb> tb;
-};
 
 struct Options {
   std::string design = "noc_chain";
@@ -120,10 +54,9 @@ constexpr const char kUsage[] =
     "                   [--json[=FILE]] [--openmetrics[=FILE]]\n"
     "                   [--heartbeat[=FILE]] [--list] [--quiet]\n"
     "\n"
-    "  --design NAME       noc_chain (default), gals_pipeline, or any SoC\n"
-    "                      reference design (soc_gals_2x2, ...)\n"
-    "  --workload NAME     SoC designs only: drive the named SoC workload\n"
-    "                      (default: first of the six) instead of idling\n"
+    "  --design NAME       any design --list prints (default noc_chain)\n"
+    "  --workload NAME     SoC designs only: the SoC workload to drive\n"
+    "                      (default: the first, vecmul)\n"
     "  --period PS         sampling period in picoseconds (default 1000000)\n"
     "  --windows N         run for N whole windows (default 50)\n"
     "  --capacity N        series ring capacity (default 512)\n"
@@ -137,20 +70,6 @@ constexpr const char kUsage[] =
     "  --heartbeat[=FILE]  one liveness line per window (default stderr)\n"
     "  --list              list available designs and exit\n"
     "  --quiet             suppress the human-readable summary\n";
-
-bool WriteDoc(const std::string& doc, const std::string& path,
-              const char* what) {
-  if (path.empty()) {
-    std::fputs(doc.c_str(), stdout);
-    return true;
-  }
-  if (!cli::WriteFile(path, doc)) {
-    std::fprintf(stderr, "craft_pulse: cannot write %s file %s\n", what,
-                 path.c_str());
-    return false;
-  }
-  return true;
-}
 
 /// Static throughput bounds for the watchdog: one tokens/ps bound per
 /// channel, plus the text naming the limiting structure in alerts — the
@@ -243,10 +162,7 @@ int main(int argc, char** argv) try {
 
   cli::Parser p("craft_pulse", kUsage);
   p.Action("--list", [] {
-    std::printf("noc_chain\n");
-    for (const auto& d : lint::ReferenceDesigns()) {
-      std::printf("%s\n", d.name.c_str());
-    }
+    for (const auto& e : session::Catalog()) std::printf("%s\n", e.name.c_str());
   });
   p.Str("--design", &opt.design);
   p.Str("--workload", &opt.workload);
@@ -278,43 +194,18 @@ int main(int argc, char** argv) try {
     return cli::ExitCode(p.UsageError("--period x --windows overflows the 64-bit ps horizon"));
   }
 
-  // Resolve the design. SoC reference designs rebuild from their SocConfig
-  // so the workload driver can run them; noc_chain and gals_pipeline idle
-  // at saturation until the boundary-aligned horizon.
-  const lint::RefDesign* ref = nullptr;
-  std::vector<lint::RefDesign> designs = lint::ReferenceDesigns();
-  if (opt.design != "noc_chain") {
-    for (const auto& d : designs) {
-      if (d.name == opt.design) ref = &d;
-    }
-    if (ref == nullptr) {
-      std::fprintf(stderr,
-                   "craft_pulse: unknown design '%s' (see --list)\n",
-                   opt.design.c_str());
-      return 2;
-    }
-  }
-  const bool soc_run = ref != nullptr && ref->soc_cfg.has_value();
-  if (!opt.workload.empty() && !soc_run) {
-    std::fprintf(stderr, "craft_pulse: --workload requires a SoC design\n");
+  // SoC workloads run to their check within the horizon; endless streams
+  // idle at saturation until the boundary-aligned horizon; the bounded
+  // harness runs until it quiesces.
+  session::Spec spec;
+  spec.design = opt.design;
+  spec.workload = opt.workload;
+  spec.parallelism = opt.parallelism;
+  spec.horizon = opt.period_ps * opt.windows;
+  if (const std::string err = session::Validate(spec); !err.empty()) {
+    std::fprintf(stderr, "craft_pulse: %s\n", err.c_str());
     return 2;
   }
-
-  std::FILE* hb_file = nullptr;
-  if (opt.heartbeat) {
-    if (opt.heartbeat_path.empty()) {
-      hb_file = stderr;
-    } else {
-      hb_file = std::fopen(opt.heartbeat_path.c_str(), "w");
-      if (hb_file == nullptr) {
-        std::fprintf(stderr, "craft_pulse: cannot write heartbeat file %s\n",
-                     opt.heartbeat_path.c_str());
-        return 2;
-      }
-    }
-  }
-
-  Simulator sim;
   if (opt.chaos) {
     // Latency-only stall storm: LI-safe (no corruption), but aggressive
     // enough to collapse every saturating channel far below half its static
@@ -327,70 +218,46 @@ int main(int argc, char** argv) try {
     plan.crossing_pause_max_cycles = 12;
     plan.retimer_delay_prob = 0.20;
     plan.retimer_delay_max_cycles = 4;
-    sim.chaos().Enable(plan);
+    spec.faults = plan;
   }
   PulseConfig pcfg;
   pcfg.period_ps = opt.period_ps;
   pcfg.capacity = opt.capacity;
   pcfg.progress_windows = opt.progress_windows;
-  pcfg.heartbeat = hb_file;
   pcfg.heartbeat_label = opt.design;
-  sim.pulse().Enable(pcfg);
-
-  std::shared_ptr<void> handle;
-  std::unique_ptr<NocChain> chain;
-  std::unique_ptr<soc::SocTop> soc_top;
-  if (ref == nullptr) {
-    chain = std::make_unique<NocChain>(sim);
-  } else if (soc_run) {
-    soc_top = std::make_unique<soc::SocTop>(sim, *ref->soc_cfg);
-  } else {
-    handle = ref->build(sim);
+  if (opt.heartbeat) {
+    pcfg.heartbeat = cli::OpenLog("craft_pulse", opt.heartbeat_path, "w");
+    if (pcfg.heartbeat == nullptr) return 2;
   }
+  spec.pulse = pcfg;
 
-  const analyze::Analysis analysis = analyze::Analyze(sim.design_graph());
-  // SoC workloads are request/response traffic with idle phases — nowhere
-  // near channel saturation, so the rate watchdog only makes sense on the
-  // saturating designs. Arm it there; elsewhere leave the bounds unarmed.
+  session::Session s(spec);
+  Simulator& sim = s.sim();
+  // Only an endless stream saturates its channels for the whole horizon,
+  // so only there are the rate watchdog and exact reconciliation promised;
+  // SoC workloads are request/response traffic with idle phases, and both
+  // they and the bounded harness Stop() mid-window.
+  const bool saturating = s.entry().kind == session::Kind::kEndlessStream;
   std::string critical;
-  const bool saturating = !soc_run;
-  if (saturating) critical = ArmFromAnalysis(sim, analysis);
+  if (saturating) critical = ArmFromAnalysis(sim, analyze::Analyze(sim.design_graph()));
 
-  if (opt.parallelism_set) sim.SetParallelism(opt.parallelism);
-
-  const Time horizon = opt.period_ps * opt.windows;
+  const session::Outcome out = s.Run();
   std::string workload_note;
-  bool workload_ok = true;
-  if (soc_run) {
-    const std::vector<soc::Workload> all = soc::SixSocTests();
-    const soc::Workload* w = &all[0];
-    if (!opt.workload.empty()) {
-      const soc::Workload* found = nullptr;
-      for (const auto& cand : all) {
-        if (cand.name == opt.workload) found = &cand;
-      }
-      if (found == nullptr) {
-        std::fprintf(stderr, "craft_pulse: unknown workload '%s'\n",
-                     opt.workload.c_str());
-        return 2;
-      }
-      w = found;
-    }
-    const soc::WorkloadRun run = soc::RunWorkload(*soc_top, *w, horizon);
-    workload_ok = run.ok;
-    workload_note = run.name + (run.ok ? " ok" : " FAILED: " + run.error);
-  } else {
-    sim.RunUntil(horizon);
-  }
+  if (s.soc() != nullptr)
+    workload_note = s.spec().workload + (out.ok ? " ok" : " FAILED: " + out.error);
 
   const PulseRegistry& reg = sim.pulse();
   double max_rel = 0.0;
-  // A SoC workload Stop()s mid-window, so only the saturating designs
-  // promise exact base+deltas == aggregate reconciliation.
-  bool ok = CrossCheck(sim, /*exact_expected=*/!soc_run, opt.quiet, &max_rel);
-  if (!workload_ok) {
-    std::fprintf(stderr, "craft_pulse: workload failed: %s\n",
-                 workload_note.c_str());
+  // An error the run raised cut it mid-window: nothing to reconcile.
+  bool ok = !out.raised && CrossCheck(sim, /*exact_expected=*/saturating,
+                                      opt.quiet, &max_rel);
+  if (!out.ok) {
+    if (s.soc() != nullptr) {
+      std::fprintf(stderr, "craft_pulse: workload failed: %s\n",
+                   workload_note.c_str());
+    } else {
+      std::fprintf(stderr, "craft_pulse: %s\n", out.error.c_str());
+    }
     ok = false;
   }
 
@@ -434,14 +301,12 @@ int main(int argc, char** argv) try {
   }
 
   bool io_ok = true;
-  if (opt.json && !WriteDoc(pulse::FormatTimelineJson(sim), opt.json_path, "json")) {
+  if (opt.json && !cli::Emit("craft_pulse", opt.json_path, pulse::FormatTimelineJson(sim)))
     io_ok = false;
-  }
   if (opt.openmetrics &&
-      !WriteDoc(pulse::FormatOpenMetrics(sim), opt.om_path, "openmetrics")) {
+      !cli::Emit("craft_pulse", opt.om_path, pulse::FormatOpenMetrics(sim)))
     io_ok = false;
-  }
-  if (hb_file != nullptr && hb_file != stderr) std::fclose(hb_file);
+  cli::CloseLog(pcfg.heartbeat);
   if (!io_ok) return 2;
   return ok ? 0 : 1;
 } catch (const craft::SimError& e) {

@@ -13,13 +13,13 @@
 #include <vector>
 
 #include "kernel/kernel.hpp"
+#include "session/session.hpp"
 #include "soc/workloads.hpp"
 #include "support/cli.hpp"
 
 namespace {
 
 using namespace craft;
-using namespace craft::literals;
 
 constexpr const char kUsage[] =
     "usage: craft_stats [--format text|json|openmetrics] [--json[=FILE]] "
@@ -44,21 +44,14 @@ struct RunResult {
   std::string openmetrics;   // exposition text, when --format openmetrics
 };
 
-/// Runs one workload on a fresh stats-enabled SoC. Each workload gets its
-/// own Simulator: the registry is snapshot at elaboration, and per-run
-/// isolation keeps the counters attributable to a single workload.
-RunResult RunOne(const soc::Workload& w, bool gals, Format format) {
-  Simulator sim;
-  sim.stats().Enable();  // before elaboration: components snapshot slots
-  soc::SocConfig cfg;
-  cfg.gals = gals;
-  soc::SocTop soc(sim, cfg);
+/// The formatted results of one workload's session, read while it is alive.
+RunResult Harvest(session::Session& s, const session::Outcome& out, Format format) {
   RunResult r;
-  r.run = soc::RunWorkload(soc, w, 50_ms);
-  r.metrics_json = soc::SocMetricsJson(soc, r.run);
-  r.table = stats::FormatTable(sim);
+  r.run = soc::WorkloadRun{s.spec().workload, out.cycles, out.ok, out.error};
+  r.metrics_json = soc::SocMetricsJson(*s.soc(), r.run);
+  r.table = stats::FormatTable(s.sim());
   if (format == Format::kOpenMetrics) {
-    r.openmetrics = stats::FormatOpenMetrics(sim);
+    r.openmetrics = stats::FormatOpenMetrics(s.sim());
   }
   return r;
 }
@@ -114,7 +107,6 @@ int main(int argc, char** argv) try {
     format = Format::kJson;
     if (!json_path.empty()) out_path = json_path;
   }
-  const bool gals = !sync;
 
   std::vector<const soc::Workload*> selected;
   const std::vector<soc::Workload> all = soc::SixSocTests();
@@ -145,7 +137,11 @@ int main(int argc, char** argv) try {
   int failures = 0;
   for (const soc::Workload* wp : selected) {
     const soc::Workload& w = *wp;
-    RunResult r = RunOne(w, gals, format);
+    // A fresh session per workload: the registry is snapshot at
+    // elaboration, and isolation keeps the counters attributable to one.
+    session::Session s(session::Spec{
+        .design = sync ? "soc_sync_2x2" : "soc_gals_2x2", .workload = w.name, .stats = true});
+    RunResult r = Harvest(s, s.Run(), format);
     std::string why;
     const bool valid = Validate(r, &why);
     if (!valid) ++failures;
@@ -173,14 +169,7 @@ int main(int argc, char** argv) try {
   } else if (format == Format::kOpenMetrics) {
     doc = results[0].openmetrics;
   }
-  if (!doc.empty()) {
-    if (out_path.empty()) {
-      std::fputs(doc.c_str(), stdout);
-    } else if (!cli::WriteFile(out_path, doc)) {
-      std::fprintf(stderr, "craft_stats: cannot write %s\n", out_path.c_str());
-      return 2;
-    }
-  }
+  if (!doc.empty() && !cli::Emit("craft_stats", out_path, doc)) return 2;
   return failures > 0 ? 1 : 0;
 } catch (const craft::SimError& e) {
   // A SimError the run raised is a finding: one line, exit 1 (README "Exit codes").

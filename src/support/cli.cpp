@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 
 namespace craft::cli {
@@ -17,6 +16,44 @@ bool WriteFile(const std::string& path, std::string_view text) {
   return wrote && closed;
 }
 
+bool Emit(const std::string& tool, const std::string& path, std::string_view doc) {
+  if (path.empty() || path == "-") {
+    std::fwrite(doc.data(), 1, doc.size(), stdout);
+    return true;
+  }
+  if (WriteFile(path, doc)) return true;
+  std::fprintf(stderr, "%s: cannot write %s\n", tool.c_str(), path.c_str());
+  return false;
+}
+
+std::FILE* OpenLog(const std::string& tool, const std::string& path,
+                   const char* mode) {
+  if (path.empty()) return stderr;
+  std::FILE* f = std::fopen(path.c_str(), mode);
+  if (f == nullptr)
+    std::fprintf(stderr, "%s: cannot write %s\n", tool.c_str(), path.c_str());
+  return f;
+}
+
+void CloseLog(std::FILE* log) {
+  if (log != nullptr && log != stderr) std::fclose(log);
+}
+
+namespace {
+
+/// Strict unsigned decimal: the whole text must be digits (leading zeros
+/// included) whose value fits in T. No sign, no base prefix, no blanks.
+template <typename T>
+bool ParseDecimal(std::string_view text, T* out) {
+  T v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (text.empty() || ec != std::errc() || end != text.data() + text.size()) return false;
+  *out = v;
+  return true;
+}
+
+}  // namespace
+
 bool EnvParallelism(unsigned* n, std::string* error) {
   const char* env = std::getenv("CRAFT_PARALLELISM");
   if (env == nullptr) {
@@ -25,8 +62,7 @@ bool EnvParallelism(unsigned* n, std::string* error) {
   }
   const std::string_view text(env);
   unsigned v = 0;
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
-  if (text.empty() || ec != std::errc() || end != text.data() + text.size() || v == 0) {
+  if (!ParseDecimal(text, &v) || v == 0) {
     *error = "CRAFT_PARALLELISM='" + std::string(text) +
              "' is not a decimal integer from 1 to " +
              std::to_string(std::numeric_limits<unsigned>::max());
@@ -90,6 +126,14 @@ void Parser::U32(const std::string& name, unsigned* out, bool* seen) {
   specs_.push_back(std::move(s));
 }
 
+void Parser::U64List(const std::string& name, std::vector<std::uint64_t>* out) {
+  Spec s;
+  s.name = name;
+  s.kind = Kind::kU64List;
+  s.u64_list = out;
+  specs_.push_back(std::move(s));
+}
+
 void Parser::F64(const std::string& name, double* out) {
   Spec s;
   s.name = name;
@@ -136,17 +180,6 @@ Status Parser::UsageError(const std::string& message) const {
 
 namespace {
 
-/// Strict unsigned decimal/hex parse: the whole token must be consumed.
-bool ParseU64(const std::string& v, std::uint64_t* out) {
-  if (v.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v.c_str(), &end, 0);
-  if (errno != 0 || end == v.c_str() || *end != '\0' || v[0] == '-') return false;
-  *out = static_cast<std::uint64_t>(n);
-  return true;
-}
-
 bool ParseF64(const std::string& v, double* out) {
   if (v.empty()) return false;
   errno = 0;
@@ -179,22 +212,24 @@ bool Parser::ApplyValue(Spec& s, const std::string& value, std::string* error) {
       *s.str = value;
       return true;
     case Kind::kU64:
-      if (!ParseU64(value, s.u64)) {
-        *error = s.name + " wants an unsigned integer, got '" + value + "'";
-        return false;
-      }
-      if (s.seen != nullptr) *s.seen = true;
-      return true;
-    case Kind::kU32: {
+    case Kind::kU64List: {
       std::uint64_t v = 0;
-      if (!ParseU64(value, &v) || v > 0xffffffffull) {
+      if (!ParseDecimal(value, &v)) {
         *error = s.name + " wants an unsigned integer, got '" + value + "'";
         return false;
       }
-      *s.u32 = static_cast<unsigned>(v);
+      if (s.kind == Kind::kU64List) s.u64_list->push_back(v);
+      else *s.u64 = v;
       if (s.seen != nullptr) *s.seen = true;
       return true;
     }
+    case Kind::kU32:
+      if (!ParseDecimal(value, s.u32)) {
+        *error = s.name + " wants an unsigned integer, got '" + value + "'";
+        return false;
+      }
+      if (s.seen != nullptr) *s.seen = true;
+      return true;
     case Kind::kF64:
       if (!ParseF64(value, s.f64)) {
         *error = s.name + " wants a non-negative number, got '" + value + "'";

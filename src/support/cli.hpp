@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -45,8 +46,20 @@ inline int ExitCode(Status s) { return s == Status::kExitOk ? 0 : 2; }
 
 /// Writes `text` to `path`, replacing it, and closes the file. False on any
 /// failure: open, write, or the flush at close (where a full disk shows).
-/// Mains print one "cannot write PATH" line and exit 2 on false.
 bool WriteFile(const std::string& path, std::string_view text);
+
+/// The one output step of every tool: `doc` goes to stdout when `path` is
+/// empty or "-", else to the file through WriteFile. A failed write prints
+/// "<tool>: cannot write PATH" and returns false; the tool then exits 2.
+bool Emit(const std::string& tool, const std::string& path, std::string_view doc);
+
+/// Opens the stream a tool writes log lines to (heartbeats, progress):
+/// stderr when `path` is empty, else the file opened with fopen `mode`. A
+/// failed open prints "<tool>: cannot write PATH" and returns nullptr; the
+/// tool then exits 2. Close a returned file with CloseLog.
+std::FILE* OpenLog(const std::string& tool, const std::string& path,
+                   const char* mode);
+void CloseLog(std::FILE* log);
 
 /// Reads CRAFT_PARALLELISM, the worker count of every Simulator that does
 /// not call SetParallelism(): *n = 1 while it is unset. Only a decimal
@@ -70,9 +83,12 @@ class Parser {
   void StrList(const std::string& name, std::vector<std::string>* out);
   /// `--name[=VALUE]`: sets *present always, *value only for the `=` form.
   void OptStr(const std::string& name, bool* present, std::string* value);
-  /// Unsigned integers; a malformed or out-of-range value is a usage error.
+  /// Unsigned decimal integers ("010" is 10); anything else, a sign, a
+  /// base prefix or an out-of-range value is a usage error.
   void U64(const std::string& name, std::uint64_t* out, bool* seen = nullptr);
   void U32(const std::string& name, unsigned* out, bool* seen = nullptr);
+  /// Repeatable U64, appended in order.
+  void U64List(const std::string& name, std::vector<std::uint64_t>* out);
   /// Non-negative decimal (e.g. `--timeout 2.5`).
   void F64(const std::string& name, double* out);
   /// `--name VALUE` restricted to `allowed`; anything else is a one-line
@@ -96,7 +112,9 @@ class Parser {
   Status UsageError(const std::string& message) const;
 
  private:
-  enum class Kind { kFlag, kStr, kStrList, kOptStr, kU64, kU32, kF64, kChoice, kAction };
+  enum class Kind {
+    kFlag, kStr, kStrList, kOptStr, kU64, kU32, kU64List, kF64, kChoice, kAction
+  };
   struct Spec {
     std::string name;
     Kind kind;
@@ -106,6 +124,7 @@ class Parser {
     bool* present = nullptr;
     std::uint64_t* u64 = nullptr;
     unsigned* u32 = nullptr;
+    std::vector<std::uint64_t>* u64_list = nullptr;
     double* f64 = nullptr;
     bool* seen = nullptr;
     std::vector<std::string> allowed;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "kernel/kernel.hpp"
+#include "session/session.hpp"
 #include "soc/workloads.hpp"
 #include "support/cli.hpp"
 #include "trace/trace.hpp"
@@ -21,7 +22,6 @@
 namespace {
 
 using namespace craft;
-using namespace craft::literals;
 
 constexpr const char kUsage[] =
     "usage: craft_trace [--workload NAME]... [-o FILE] [--json[=FILE]] "
@@ -48,17 +48,12 @@ struct RunResult {
   std::uint64_t channel_begins = 0, stats_enqueues = 0;
 };
 
-/// Runs one workload on a fresh simulator with BOTH registries enabled
-/// (stats provides the coverage cross-check denominator).
-RunResult RunOne(const soc::Workload& w, bool gals, std::size_t top_n) {
-  Simulator sim;
-  sim.stats().Enable();
-  sim.trace_events().Enable();
-  soc::SocConfig cfg;
-  cfg.gals = gals;
-  soc::SocTop soc(sim, cfg);
+/// The export, blame chains and validation counts of one workload's
+/// session, read while it is alive.
+RunResult Harvest(session::Session& s, const session::Outcome& out, std::size_t top_n) {
+  Simulator& sim = s.sim();
   RunResult r;
-  r.run = soc::RunWorkload(soc, w, 50_ms);
+  r.run = soc::WorkloadRun{s.spec().workload, out.cycles, out.ok, out.error};
   r.trace_json = trace::FormatChromeJson(sim);
   const auto chains = trace::AttributeBackpressure(sim, top_n);
   r.blame_table = trace::FormatTable(chains);
@@ -170,7 +165,6 @@ int main(int argc, char** argv) try {
   if (auto st = p.Parse(argc, argv); st != cli::Status::kContinue)
     return cli::ExitCode(st);
   if (names.empty()) names.emplace_back("conv2d");
-  const bool gals = !sync;
 
   std::vector<soc::Workload> selected;
   for (const soc::Workload& w : soc::AllWorkloads()) {
@@ -188,15 +182,17 @@ int main(int argc, char** argv) try {
   std::vector<RunResult> results;
   int failures = 0;
   for (const soc::Workload& w : selected) {
-    RunResult r = RunOne(w, gals, static_cast<std::size_t>(top_n));
+    // Both registries: stats provides the span-coverage denominator.
+    session::Session s(session::Spec{.design = sync ? "soc_sync_2x2" : "soc_gals_2x2",
+                                     .workload = w.name,
+                                     .stats = true,
+                                     .trace = true});
+    RunResult r = Harvest(s, s.Run(), static_cast<std::size_t>(top_n));
     std::string why;
     const bool valid = Validate(r, &why);
     if (!valid) ++failures;
     const std::string path = TracePathFor(trace_path, w.name, selected.size() > 1);
-    if (!cli::WriteFile(path, r.trace_json)) {
-      std::fprintf(stderr, "craft_trace: cannot write %s\n", path.c_str());
-      return 2;
-    }
+    if (!cli::Emit("craft_trace", path, r.trace_json)) return 2;
     if (!quiet) {
       std::fprintf(text_out,
                    "==== workload %s: %s (%llu cycles) ====\n"
@@ -223,12 +219,7 @@ int main(int argc, char** argv) try {
       doc += "\n";
     }
     doc += "  ]\n}\n";
-    if (json_path.empty()) {
-      std::fputs(doc.c_str(), stdout);
-    } else if (!cli::WriteFile(json_path, doc)) {
-      std::fprintf(stderr, "craft_trace: cannot write %s\n", json_path.c_str());
-      return 2;
-    }
+    if (!cli::Emit("craft_trace", json_path, doc)) return 2;
   }
   return failures > 0 ? 1 : 0;
 } catch (const craft::SimError& e) {

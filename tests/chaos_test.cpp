@@ -15,9 +15,22 @@ namespace {
 
 constexpr unsigned kMsgs = 64;
 
-chaos::RunRecord Golden() {
-  return chaos::RunLiPipeline(nullptr, 1, kMsgs, "golden");
+/// One LI pipeline harness run through the campaign's run path.
+chaos::RunRecord RunLi(const FaultPlan* plan, unsigned parallelism,
+                       const std::string& label) {
+  session::Spec spec;
+  spec.design = "li_pipeline";
+  spec.parallelism = parallelism;
+  spec.messages = kMsgs;
+  if (plan != nullptr) spec.faults = *plan;
+  return chaos::Run(spec, label);
 }
+
+FaultPlan PipelineLatencyPlan(std::uint64_t seed) {
+  return session::LatencyPlan(session::Kind::kBoundedHarness, seed);
+}
+
+chaos::RunRecord Golden() { return RunLi(nullptr, 1, "golden"); }
 
 bool HasDetection(const chaos::RunRecord& r, const std::string& kind) {
   for (const auto& d : r.detections)
@@ -56,7 +69,7 @@ TEST(ChaosEngine, UnflippableChannelWarnsAndSkips) {
   plan.seed = 2;
   plan.corruptions = {{.channel = "li.rt_q", .commit_index = 5,
                        .kind = CorruptionFault::Kind::kBitFlip, .bit = 3}};
-  const auto rec = chaos::RunLiPipeline(&plan, 1, kMsgs, "unflippable");
+  const auto rec = RunLi(&plan, 1, "unflippable");
   ASSERT_EQ(rec.warnings.size(), 1u);
   EXPECT_NE(rec.warnings[0].find("li.rt_q"), std::string::npos);
   EXPECT_TRUE(rec.injections.empty());
@@ -68,8 +81,8 @@ TEST(ChaosEngine, UnflippableChannelWarnsAndSkips) {
 
 TEST(ChaosCampaign, LatencyFaultsPreserveOutputsAndMessageSets) {
   const auto golden = Golden();
-  const FaultPlan plan = chaos::PipelineLatencyPlan(3);
-  const auto f = chaos::RunLiPipeline(&plan, 1, kMsgs, "latency");
+  const FaultPlan plan = PipelineLatencyPlan(3);
+  const auto f = RunLi(&plan, 1, "latency");
   ASSERT_TRUE(golden.fp.ok) << golden.error;
   ASSERT_TRUE(f.fp.ok) << f.error;
   // The LI-invariance oracle: identical outputs and identical per-channel
@@ -88,9 +101,9 @@ TEST(ChaosCampaign, LatencyFaultsPreserveOutputsAndMessageSets) {
 }
 
 TEST(ChaosCampaign, DeterministicPerSeed) {
-  const FaultPlan plan = chaos::PipelineLatencyPlan(7);
-  const auto a = chaos::RunLiPipeline(&plan, 1, kMsgs, "a");
-  const auto b = chaos::RunLiPipeline(&plan, 1, kMsgs, "b");
+  const FaultPlan plan = PipelineLatencyPlan(7);
+  const auto a = RunLi(&plan, 1, "a");
+  const auto b = RunLi(&plan, 1, "b");
   EXPECT_TRUE(a.fp == b.fp);
   EXPECT_EQ(a.latency.channel_stall_cycles, b.latency.channel_stall_cycles);
   EXPECT_EQ(a.latency.crossing_holds, b.latency.crossing_holds);
@@ -98,8 +111,8 @@ TEST(ChaosCampaign, DeterministicPerSeed) {
   EXPECT_EQ(a.latency.wakeup_deferrals, b.latency.wakeup_deferrals);
   // A different seed is a different timing universe (outputs still match,
   // but the schedule — and with it the cycle count or fault mix — moves).
-  const FaultPlan other = chaos::PipelineLatencyPlan(8);
-  const auto c = chaos::RunLiPipeline(&other, 1, kMsgs, "c");
+  const FaultPlan other = PipelineLatencyPlan(8);
+  const auto c = RunLi(&other, 1, "c");
   EXPECT_EQ(c.fp.digest, a.fp.digest);
   EXPECT_TRUE(c.fp.cycles != a.fp.cycles ||
               c.latency.channel_stall_cycles != a.latency.channel_stall_cycles);
@@ -112,9 +125,9 @@ TEST(ChaosCampaign, ParallelismInvariance) {
   // they can drift by a cycle's worth of lazy stall rolls at the Stop()
   // boundary (a shard may poll once more before observing the stop), which
   // never reaches any output.
-  const FaultPlan plan = chaos::PipelineLatencyPlan(11);
-  const auto n1 = chaos::RunLiPipeline(&plan, 1, kMsgs, "n1");
-  const auto n4 = chaos::RunLiPipeline(&plan, 4, kMsgs, "n4");
+  const FaultPlan plan = PipelineLatencyPlan(11);
+  const auto n1 = RunLi(&plan, 1, "n1");
+  const auto n4 = RunLi(&plan, 4, "n4");
   ASSERT_TRUE(n1.fp.ok) << n1.error;
   EXPECT_TRUE(n1.fp == n4.fp);
   EXPECT_GT(n4.latency.channel_stall_cycles, 0u);
@@ -126,8 +139,6 @@ TEST(ChaosCampaign, SignalAccurateSocAbsorbsLatencyFaults) {
   // property must hold there too: channel stalls reach its valid/ready
   // signals, and wakeup deferral (which would break the FSM handshake) is
   // skipped with a warning per clock instead of hanging the run.
-  chaos::CampaignHooks hooks;
-  hooks.pre_elaborate = [](Simulator& sim) { sim.set_mode(SimMode::kSignalAccurate); };
   // Exact outcome per seed, [gals][seed - 1]: every channel rolls its stall
   // mask once per cycle, so how often the channel methods run cannot move
   // either number.
@@ -140,15 +151,16 @@ TEST(ChaosCampaign, SignalAccurateSocAbsorbsLatencyFaults) {
       {{7487, 37209}, {7685, 38413}, {7487, 37378}},
   };
   for (const bool gals : {false, true}) {
-    soc::SocConfig cfg;
-    cfg.gals = gals;
-    const auto golden =
-        chaos::RunSocWorkload(cfg, "vecmul", nullptr, 1, "golden", nullptr, &hooks);
+    session::Spec spec;
+    spec.design = gals ? "soc_gals_2x2" : "soc_sync_2x2";
+    spec.workload = "vecmul";
+    spec.mode = SimMode::kSignalAccurate;
+    spec.parallelism = 1;
+    const auto golden = chaos::Run(spec, "golden");
     ASSERT_TRUE(golden.fp.ok) << "gals=" << gals << ": " << golden.error;
     for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-      const FaultPlan plan = chaos::SocLatencyPlan(seed);
-      const auto f =
-          chaos::RunSocWorkload(cfg, "vecmul", &plan, 1, "latency", nullptr, &hooks);
+      spec.faults = chaos::SocLatencyPlan(seed);
+      const auto f = chaos::Run(spec, "latency");
       const std::string where =
           "gals=" + std::to_string(gals) + " seed=" + std::to_string(seed);
       EXPECT_TRUE(f.fp.ok) << where << ": " << f.error;
@@ -173,7 +185,7 @@ TEST(ChaosCampaign, BitFlipDetectedByPayloadOracle) {
   plan.seed = 5;
   plan.corruptions = {{.channel = "li.link", .commit_index = 21,
                        .kind = CorruptionFault::Kind::kBitFlip, .bit = 9}};
-  const auto rec = chaos::RunLiPipeline(&plan, 1, kMsgs, "flip");
+  const auto rec = RunLi(&plan, 1, "flip");
   ASSERT_EQ(rec.injections.size(), 1u);
   EXPECT_EQ(rec.injections[0].kind, "bitflip");
   // A flip corrupts one message but loses none: the run completes, the
@@ -189,7 +201,7 @@ TEST(ChaosCampaign, DropDetectedByFramingAndShortfall) {
   plan.seed = 5;
   plan.corruptions = {{.channel = "li.link", .commit_index = 20,
                        .kind = CorruptionFault::Kind::kDrop}};
-  const auto rec = chaos::RunLiPipeline(&plan, 1, kMsgs, "drop");
+  const auto rec = RunLi(&plan, 1, "drop");
   ASSERT_EQ(rec.injections.size(), 1u);
   EXPECT_EQ(rec.injections[0].kind, "drop");
   // A lost flit desynchronizes framing and starves the sink: the run must
@@ -207,7 +219,7 @@ TEST(ChaosCampaign, DuplicateDetectedByFraming) {
   plan.seed = 5;
   plan.corruptions = {{.channel = "li.link", .commit_index = 21,
                        .kind = CorruptionFault::Kind::kDuplicate}};
-  const auto rec = chaos::RunLiPipeline(&plan, 1, kMsgs, "dup");
+  const auto rec = RunLi(&plan, 1, "dup");
   ASSERT_EQ(rec.injections.size(), 1u);
   EXPECT_EQ(rec.injections[0].kind, "duplicate");
   EXPECT_FALSE(rec.detections.empty());
@@ -228,7 +240,7 @@ TEST(ChaosReport, JsonSchemaAndVerdicts) {
   plan.seed = 5;
   plan.corruptions = {{.channel = "li.link", .commit_index = 21,
                        .kind = CorruptionFault::Kind::kBitFlip, .bit = 9}};
-  results[0].runs.push_back(chaos::RunLiPipeline(&plan, 1, kMsgs, "trial-0-bitflip"));
+  results[0].runs.push_back(RunLi(&plan, 1, "trial-0-bitflip"));
   results[0].failures.push_back("example failure");
   results[0].passed = false;
 

@@ -21,7 +21,7 @@
 #include "gals/gals.hpp"
 #include "kernel/kernel.hpp"
 #include "kernel/stats.hpp"
-#include "lint/ref_designs.hpp"
+#include "session/session.hpp"
 #include "soc/workloads.hpp"
 
 namespace craft::analyze {
@@ -235,13 +235,12 @@ TEST(ProveSizing, BufferLimitedCycleGetsACapacityRecommendation) {
 // ---------------- shipped designs and the injected deadlock ----------------
 
 TEST(ProveRefDesigns, EveryShippedDesignIsDeadlockFree) {
-  for (const lint::RefDesign& d : lint::ReferenceDesigns()) {
-    Simulator sim;
-    const auto handle = d.build(sim);
-    const Analysis a = Analyze(sim.design_graph());
+  for (const session::Entry& e : session::Catalog()) {
+    const session::Session s(session::Spec{.design = e.name});
+    const Analysis a = Analyze(s.sim().design_graph());
     EXPECT_EQ(lint::ErrorCount(a.findings), 0)
-        << d.name << ":\n" << FormatText(d.name, a);
-    EXPECT_FALSE(a.channels.empty()) << d.name;
+        << e.name << ":\n" << FormatText(e.name, a);
+    EXPECT_FALSE(a.channels.empty()) << e.name;
   }
 }
 
@@ -339,18 +338,10 @@ TEST(ProveCrossValidation, GalsPipelineRespectsAndReachesCrossingBounds) {
   // rate must respect its static bound; the egress crossing, fed at the
   // pipeline's sustained rate, must come within 10% of the slower-clock
   // bound it is predicted to saturate at.
-  const auto designs = lint::ReferenceDesigns();
-  const lint::RefDesign* pipe = nullptr;
-  for (const auto& d : designs) {
-    if (d.name == "gals_pipeline") pipe = &d;
-  }
-  ASSERT_NE(pipe, nullptr);
-
-  Simulator sim;
-  sim.stats().Enable();
-  const auto handle = pipe->build(sim);
+  session::Session s(session::Spec{.design = "gals_pipeline", .horizon = 1_ms, .stats = true});
+  Simulator& sim = s.sim();
   const Analysis a = Analyze(sim.design_graph());
-  sim.Run(1_ms);
+  ASSERT_TRUE(s.Run().ok);
 
   const double elapsed = static_cast<double>(sim.now());
   for (const auto& [name, m] : stats::MeasuredCrossingRates(sim)) {

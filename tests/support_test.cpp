@@ -295,6 +295,28 @@ TEST(CliParser, RejectsMalformedNumbers) {
   EXPECT_EQ(ParseArgs(p, {"--seed"}), cli::Status::kExitUsage);  // no value
 }
 
+TEST(CliParser, IntegersAreStrictDecimal) {
+  // One syntax for every integer flag: a leading zero is still decimal, and
+  // base prefixes and signs are usage errors, as in CRAFT_PARALLELISM.
+  std::uint64_t seed = 0;
+  unsigned jobs = 0;
+  std::vector<std::uint64_t> seeds;
+  cli::Parser p("t", "usage: t\n");
+  p.U64("--seed", &seed);
+  p.U32("--jobs", &jobs);
+  p.U64List("--axis", &seeds);
+  EXPECT_EQ(ParseArgs(p, {"--seed", "010", "--jobs=010"}), cli::Status::kContinue);
+  EXPECT_EQ(seed, 10u);
+  EXPECT_EQ(jobs, 10u);
+  for (const char* bad : {"0x10", "-1", "+1", " 1", "1e3", ""}) {
+    EXPECT_EQ(ParseArgs(p, {"--seed", bad}), cli::Status::kExitUsage) << bad;
+    EXPECT_EQ(ParseArgs(p, {"--jobs", bad}), cli::Status::kExitUsage) << bad;
+    EXPECT_EQ(ParseArgs(p, {"--axis", bad}), cli::Status::kExitUsage) << bad;
+  }
+  EXPECT_EQ(ParseArgs(p, {"--axis", "010", "--axis=7"}), cli::Status::kContinue);
+  EXPECT_EQ(seeds, (std::vector<std::uint64_t>{10, 7}));
+}
+
 TEST(CliParser, RejectsUnknownFlagsAndStrayPositionals) {
   cli::Parser p("t", "usage: t\n");
   EXPECT_EQ(ParseArgs(p, {"--nope"}), cli::Status::kExitUsage);
@@ -391,6 +413,24 @@ TEST(CliWriteFile, FailsWhenTheFlushAtCloseFails) {
   if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no writable /dev/full";
   EXPECT_FALSE(cli::WriteFile("/dev/full", "{}\n"));
   EXPECT_FALSE(cli::WriteFile("/dev/full", std::string(1 << 20, 'x')));
+}
+
+TEST(CliEmit, WritesTheFileOrReportsTheFailure) {
+  const std::string path = testing::TempDir() + "craft_cli_emit.json";
+  EXPECT_TRUE(cli::Emit("t", path, "{}\n"));
+  std::ifstream in(path);
+  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(text, "{}\n");
+  std::remove(path.c_str());
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(cli::Emit("t", "/nonexistent-dir/x.json", "{}\n"));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "t: cannot write /nonexistent-dir/x.json\n");
+  EXPECT_EQ(cli::OpenLog("t", "", "a"), stderr);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(cli::OpenLog("t", "/nonexistent-dir/log", "a"), nullptr);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "t: cannot write /nonexistent-dir/log\n");
 }
 
 }  // namespace
