@@ -219,6 +219,17 @@ void PrintTo(const InstrumentedRun& r, std::ostream* os) {
   *os << buf;
 }
 
+/// The channels, crossings and fifos sections of the stats document. The
+/// "sim" and "processes" sections hold dispatch counts, which are a property
+/// of the kernel's evaluation order, not of the design.
+std::string DesignStats(const Simulator& sim) {
+  const std::string stats_json = stats::FormatJson(sim);
+  const std::size_t begin = stats_json.find("\"channels\":");
+  const std::size_t end = stats_json.find("\"processes\":");
+  EXPECT_LT(begin, end);
+  return stats_json.substr(begin, end - begin);
+}
+
 InstrumentedRun RunInstrumented(const Workload& w, bool gals) {
   Simulator sim;
   sim.set_mode(SimMode::kSignalAccurate);
@@ -232,13 +243,7 @@ InstrumentedRun RunInstrumented(const Workload& w, bool gals) {
   EXPECT_TRUE(run.ok) << run.name << ": " << run.error;
   InstrumentedRun r;
   r.cycles = run.cycles;
-  // The "sim" and "processes" sections hold dispatch counts, which are a
-  // property of the kernel's evaluation order, not of the design.
-  const std::string stats_json = stats::FormatJson(sim);
-  const std::size_t begin = stats_json.find("\"channels\":");
-  const std::size_t end = stats_json.find("\"processes\":");
-  EXPECT_LT(begin, end);
-  r.stats_hash = Fnv1a(std::string_view(stats_json).substr(begin, end - begin));
+  r.stats_hash = Fnv1a(DesignStats(sim));
   const std::string trace_json = trace::FormatChromeJson(sim);
   r.trace_bytes = trace_json.size();
   r.trace_hash = Fnv1a(trace_json);
@@ -289,6 +294,58 @@ TEST(SocInstruments, StatsChangeNoKernelWorkCount) {
     EXPECT_EQ(off.deltas, on.deltas) << model;
     EXPECT_EQ(off.timed, on.timed) << model;
     EXPECT_EQ(off.cycles, on.cycles) << model;
+  }
+}
+
+/// The stats sections and the Chrome trace one run reports with the given
+/// instruments on (each empty when its instrument is off).
+struct InstrumentDocs {
+  std::string stats;
+  std::string trace;
+};
+
+InstrumentDocs RunWithInstruments(const Workload& w, SimMode mode, bool gals, bool stats,
+                                  bool trace, bool cover) {
+  Simulator sim;
+  sim.set_mode(mode);
+  if (stats) sim.stats().Enable();
+  if (trace) sim.trace_events().Enable();
+  if (cover) sim.cover().Enable();
+  SocConfig cfg = SingleClock2x2();
+  cfg.gals = gals;
+  SocTop soc(sim, cfg);
+  const WorkloadRun run = RunWorkload(soc, w, 50_ms);
+  EXPECT_TRUE(run.ok) << run.name << ": " << run.error;
+  InstrumentDocs d;
+  if (stats) d.stats = DesignStats(sim);
+  if (trace) d.trace = trace::FormatChromeJson(sim);
+  return d;
+}
+
+// A channel's instruments do not interact: the stats a run reports with
+// stats alone equal those it reports with trace and cover on as well, and
+// its trace alone equals its trace with stats and cover on, in both
+// Connections models and on one clock or four.
+TEST(SocInstruments, EachInstrumentReportsTheSameAloneAsWithTheOthers) {
+  const Workload vecmul = AllWorkloads().front();
+  ASSERT_EQ(vecmul.name, "vecmul");
+  const struct {
+    SimMode mode;
+    bool gals;
+    const char* what;
+  } configs[] = {{SimMode::kSimAccurate, true, "sim-accurate GALS"},
+                 {SimMode::kSignalAccurate, false, "signal-accurate single-clock"},
+                 {SimMode::kSignalAccurate, true, "signal-accurate GALS"}};
+  for (const auto& c : configs) {
+    const InstrumentDocs all = RunWithInstruments(vecmul, c.mode, c.gals, true, true, true);
+    const InstrumentDocs stats = RunWithInstruments(vecmul, c.mode, c.gals, true, false, false);
+    const InstrumentDocs trace = RunWithInstruments(vecmul, c.mode, c.gals, false, true, false);
+    EXPECT_GT(all.stats.size(), 1000u) << c.what;
+    EXPECT_GT(all.trace.size(), 1000u) << c.what;
+    // Whole documents are too large to print on a mismatch: compare and
+    // name the configuration only.
+    EXPECT_TRUE(stats.stats == all.stats) << c.what << ": stats differ";
+    EXPECT_TRUE(trace.trace == all.trace) << c.what << ": traces differ";
   }
 }
 
