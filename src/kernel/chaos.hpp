@@ -8,10 +8,10 @@
 // Architecture mirrors craft-stats / craft-trace: a ChaosEngine hangs off the
 // Simulator; call `sim.chaos().Enable(plan)` BEFORE elaborating the design.
 // Components register fault points during elaboration under their hierarchical
-// names and keep a raw pointer. When the engine is disabled (the default) —
-// or when the plan schedules nothing for a given site — registration returns
-// nullptr and every injection site reduces to one never-taken branch, the
-// same zero-cost-when-off contract as the stats registry.
+// names and keep a pointer (a channel in its ChannelProbe). While the engine
+// is disabled (the default), or when the plan schedules nothing for a site,
+// registration returns nullptr and every injection site is one never-taken
+// branch, the same zero-cost-when-off contract as the stats registry.
 //
 // Fault taxonomy (DESIGN.md §11):
 //  * latency-only faults — extra channel valid/ready stall cycles, GALS

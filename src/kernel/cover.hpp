@@ -12,9 +12,7 @@
 // Architecture mirrors craft-stats / craft-chaos / craft-pulse: a
 // CoverRegistry hangs off the Simulator; call `sim.cover().Enable(cfg)`
 // BEFORE elaborating the design. Register* returns nullptr while disabled,
-// so every instrumentation site reduces to one never-taken branch — the same
-// zero-cost-when-off contract as the stats registry (bounded by
-// bench/kernel_microbench).
+// the same zero-cost-when-off contract as the stats registry.
 //
 // Determinism: the occupancy-band and packetizer counters below advance only
 // on successful channel operations / framing events, whose per-site order is

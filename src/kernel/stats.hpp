@@ -5,11 +5,10 @@
 // right for LI designs: the channel handshake.
 //
 // Architecture mirrors the DesignGraph: a StatsRegistry hangs off the
-// Simulator; components register counters during elaboration under their
-// design-graph hierarchical names and keep a raw pointer to their slot.
-// When the registry is disabled (the default) registration returns nullptr
-// and every instrumentation site reduces to one never-taken branch, so
-// simulation speed is unchanged (verified by bench/kernel_microbench).
+// Simulator, and components register counters during elaboration under their
+// design-graph hierarchical names and keep a pointer to their slot (a
+// Connections channel in its ChannelProbe). While disabled (the default)
+// registration returns nullptr, so every site is one never-taken branch.
 // Enable with `sim.stats().Enable()` BEFORE elaborating the design.
 //
 // Reporters (stats::FormatTable / stats::FormatJson) dump everything at end
@@ -65,9 +64,10 @@ struct LatencyHistogram {
 };
 
 /// Per-channel handshake counters (both Connections channel models).
-/// Stall cycles count posedge retries of *blocking* endpoints; non-blocking
-/// endpoints show up in the reject counters instead (a router that polls
-/// PushNB against a full link accrues push_rejects, not stall cycles).
+/// Stall cycles count posedge retries of *blocking* endpoints, plus, in the
+/// signal-accurate model, refused non-blocking ones (they held valid/ready
+/// through an edge); a sim-accurate router polling PushNB against a full
+/// link accrues push_rejects only.
 struct ChannelStats {
   std::string name;
   std::string kind;

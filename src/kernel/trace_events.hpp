@@ -8,10 +8,10 @@
 // extends the same span across channels without any change to message types.
 //
 // Architecture mirrors the StatsRegistry: a TraceEventSink hangs off the
-// Simulator; channels/FIFOs/crossings register a TraceTrack during
-// elaboration and keep a raw pointer. While disabled (the default),
-// RegisterTrack returns nullptr and every instrumentation site is one
-// never-taken branch. Enable with `sim.trace_events().Enable()` BEFORE
+// Simulator; channels (in their ChannelProbe), FIFOs and crossings register
+// a TraceTrack during elaboration and keep a pointer. While disabled (the
+// default), RegisterTrack returns nullptr and every instrumentation site is
+// one never-taken branch. Enable with `sim.trace_events().Enable()` BEFORE
 // elaborating the design.
 //
 // On top of the span slices the sink maintains the raw material for
@@ -181,8 +181,7 @@ class TraceTrack {
 };
 
 /// The trace sink. One per Simulator; disabled by default. RegisterTrack
-/// returns nullptr while disabled — the contract instrumentation sites rely
-/// on for the zero-cost-when-off guarantee (bench/kernel_microbench).
+/// returns nullptr while disabled — the zero-cost-when-off contract.
 class TraceEventSink {
  public:
   bool enabled() const { return enabled_; }

@@ -142,17 +142,11 @@ TEST_P(StatsModeTest, BlockingStallCyclesCounted) {
   EXPECT_GT(FindChannel(sim, "top.empty_ch").empty_stall_cycles, 10u);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothModels, StatsModeTest,
-                         ::testing::Values(SimMode::kSimAccurate,
-                                           SimMode::kSignalAccurate),
-                         [](const ::testing::TestParamInfo<SimMode>& info) {
-                           return info.param == SimMode::kSimAccurate
-                                      ? std::string("SimAccurate")
-                                      : std::string("SignalAccurate");
-                         });
-
-TEST(Stats, CombinationalRendezvousHasZeroLatency) {
+// A rendezvous is an offer the consumer takes at once: latency 0, and the
+// token occupies the channel's one slot while it crosses, in both models.
+TEST_P(StatsModeTest, CombinationalRendezvousHasZeroLatency) {
   Simulator sim;
+  sim.set_mode(GetParam());
   sim.stats().Enable();
   Clock clk(sim, "clk", 1_ns);
   Module top(sim, "top");
@@ -167,7 +161,17 @@ TEST(Stats, CombinationalRendezvousHasZeroLatency) {
   EXPECT_EQ(s.latency.count, 20u);
   EXPECT_EQ(s.latency.max, 0u);  // same-timestep rendezvous
   EXPECT_EQ(s.latency.buckets[0], 20u);
+  EXPECT_EQ(s.occupancy_high_water, 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(BothModels, StatsModeTest,
+                         ::testing::Values(SimMode::kSimAccurate,
+                                           SimMode::kSignalAccurate),
+                         [](const ::testing::TestParamInfo<SimMode>& info) {
+                           return info.param == SimMode::kSimAccurate
+                                      ? std::string("SimAccurate")
+                                      : std::string("SignalAccurate");
+                         });
 
 // ---------- kernel process profiling ----------
 
